@@ -46,7 +46,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """A node in the computation graph holding a float64 array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    # `_backward(grad)` receives this node's gradient and pushes it to the
+    # parents.  It must not capture the node itself: a closure over its own
+    # output would put every node in a reference cycle, and a step's graph
+    # would then outlive the step until the cyclic collector ran.
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "__weakref__")
 
     # Make `ndarray <op> Tensor` defer to the Tensor's reflected methods.
     __array_ufunc__ = None
@@ -78,9 +82,15 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += _unbroadcast(grad, self.data.shape)
+        grad = _unbroadcast(grad, self.data.shape)
+        if self.grad is not None:
+            self.grad += grad
+        elif np.shape(grad) == self.data.shape:
+            # A fresh array equal to zeros + grad (-0.0 becomes 0.0 alike);
+            # `grad` itself may be a view or shared with another node.
+            self.grad = np.asarray(grad + 0.0)
+        else:
+            self.grad = np.zeros_like(self.data) + grad
 
     def backward(self, seed=None):
         """Backpropagate from this node.
@@ -112,7 +122,7 @@ class Tensor:
         self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape).copy()
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # ----- arithmetic -----------------------------------------------------
 
@@ -120,11 +130,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data + other.data, (self, other))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad)
+                self._accumulate(grad)
             if other.requires_grad:
-                other._accumulate(out.grad)
+                other._accumulate(grad)
 
         out._backward = _backward
         return out
@@ -135,11 +145,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data * other.data, (self, other))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad * other.data)
+                self._accumulate(grad * other.data)
             if other.requires_grad:
-                other._accumulate(out.grad * self.data)
+                other._accumulate(grad * self.data)
 
         out._backward = _backward
         return out
@@ -159,11 +169,11 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data / other.data, (self, other))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad / other.data)
+                self._accumulate(grad / other.data)
             if other.requires_grad:
-                other._accumulate(-out.grad * self.data / other.data**2)
+                other._accumulate(-grad * self.data / other.data**2)
 
         out._backward = _backward
         return out
@@ -176,9 +186,9 @@ class Tensor:
             raise TypeError("tensor exponents: use exp(e * log(base)) instead")
         out = Tensor(self.data**exponent, (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
+                self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
         out._backward = _backward
         return out
@@ -187,8 +197,8 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(self.data @ other.data, (self, other))
 
-        def _backward():
-            a, b, g = self.data, other.data, out.grad
+        def _backward(grad):
+            a, b, g = self.data, other.data, grad
             if self.requires_grad:
                 if b.ndim == 1:
                     ga = np.multiply.outer(g, b) if g.ndim else g * b
@@ -210,21 +220,23 @@ class Tensor:
     # ----- elementwise functions -------------------------------------------
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), (self,))
+        value = np.tanh(self.data)
+        out = Tensor(value, (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad * (1.0 - out.data**2))
+                self._accumulate(grad * (1.0 - value**2))
 
         out._backward = _backward
         return out
 
     def exp(self):
-        out = Tensor(np.exp(self.data), (self,))
+        value = np.exp(self.data)
+        out = Tensor(value, (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad * out.data)
+                self._accumulate(grad * value)
 
         out._backward = _backward
         return out
@@ -232,9 +244,9 @@ class Tensor:
     def log(self):
         out = Tensor(np.log(self.data), (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad / self.data)
+                self._accumulate(grad / self.data)
 
         out._backward = _backward
         return out
@@ -242,9 +254,9 @@ class Tensor:
     def abs(self):
         out = Tensor(np.abs(self.data), (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad * np.sign(self.data))
+                self._accumulate(grad * np.sign(self.data))
 
         out._backward = _backward
         return out
@@ -253,13 +265,13 @@ class Tensor:
         other = as_tensor(other)
         out = Tensor(np.maximum(self.data, other.data), (self, other))
 
-        def _backward():
+        def _backward(grad):
             # Ties route the gradient to the left operand.
             left = self.data >= other.data
             if self.requires_grad:
-                self._accumulate(out.grad * left)
+                self._accumulate(grad * left)
             if other.requires_grad:
-                other._accumulate(out.grad * ~left)
+                other._accumulate(grad * ~left)
 
         out._backward = _backward
         return out
@@ -269,10 +281,10 @@ class Tensor:
     def sum(self, axis=None, keepdims=False):
         out = Tensor(self.data.sum(axis=axis, keepdims=keepdims), (self,))
 
-        def _backward():
+        def _backward(grad):
             if not self.requires_grad:
                 return
-            g = out.grad
+            g = grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
@@ -287,9 +299,9 @@ class Tensor:
     def reshape(self, *shape):
         out = Tensor(self.data.reshape(*shape), (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.data.shape))
+                self._accumulate(grad.reshape(self.data.shape))
 
         out._backward = _backward
         return out
@@ -298,20 +310,27 @@ class Tensor:
     def T(self):
         out = Tensor(self.data.T, (self,))
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
-                self._accumulate(out.grad.T)
+                self._accumulate(grad.T)
 
         out._backward = _backward
         return out
 
     def __getitem__(self, index):
         out = Tensor(self.data[index], (self,))
+        parts = index if isinstance(index, tuple) else (index,)
+        # Basic indexing selects each element at most once, so a plain
+        # assignment scatters the gradient; fancy indexing may repeat one.
+        basic = all(isinstance(i, (int, slice)) for i in parts)
 
-        def _backward():
+        def _backward(grad):
             if self.requires_grad:
                 g = np.zeros_like(self.data)
-                np.add.at(g, index, out.grad)
+                if basic:
+                    g[index] = grad
+                else:
+                    np.add.at(g, index, grad)
                 self._accumulate(g)
 
         out._backward = _backward
@@ -330,14 +349,14 @@ def concat(tensors, axis=0) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
 
-    def _backward():
+    def _backward(grad):
         offset = 0
         for p in parts:
             n = p.data.shape[axis]
-            sl = [slice(None)] * out.data.ndim
+            sl = [slice(None)] * grad.ndim
             sl[axis] = slice(offset, offset + n)
             if p.requires_grad:
-                p._accumulate(out.grad[tuple(sl)])
+                p._accumulate(grad[tuple(sl)])
             offset += n
 
     out._backward = _backward

@@ -167,15 +167,15 @@ def cmd_train(args) -> int:
     model_mod.save_model(trained, out / "checkpoint.json")
     model_mod.history_to_csv(history, out / "history.csv")
 
-    result = {"config": config.to_dict(),
-              "val": _metrics_doc(evaluate_model(trained, splits[1]))}
-    if len(splits[2]) > 0:
-        result["test"] = _metrics_doc(evaluate_model(trained, splits[2]))
+    result = {"config": config.to_dict(), "selection": model_mod.selection_rule(splits[1])}
+    scores = {}
+    for name, split in (("val", splits[1]), ("test", splits[2])):
+        if len(split) > 0:
+            result[name] = _metrics_doc(evaluate_model(trained, split))
+            scores.update({f"{name}_acc": result[name]["accuracy"],
+                           f"{name}_f1": result[name]["macro_f1"]})
     _write_json(out / "metrics.json", result)
-    print(json.dumps({"val_acc": result["val"]["accuracy"], "val_f1": result["val"]["macro_f1"],
-                      **({"test_acc": result["test"]["accuracy"],
-                          "test_f1": result["test"]["macro_f1"]} if "test" in result else {})},
-                     sort_keys=True))
+    print(json.dumps(scores, sort_keys=True))
     return 0
 
 

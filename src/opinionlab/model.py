@@ -110,8 +110,9 @@ def gumbel_softmax_sample(p, tau: float, rng: np.random.Generator) -> GumbelSamp
 # ----- ODE right-hand sides ----------------------------------------------------
 #
 # The *_rhs functions are the scalar per-user contracts (plain numpy); the
-# *_rhs_all versions are the vectorized forms used in the training graph
-# and accept Tensors throughout.
+# *_rhs_all versions are the vectorized forms used in the training graph.
+# They accept Tensors throughout, and opinions shaped (U,) or (J, U): a
+# leading axis of J collocation points is evaluated in one pass.
 
 
 def degroot_rhs(x_all, m_factors, q_factors, u: int) -> float:
@@ -123,9 +124,9 @@ def degroot_rhs(x_all, m_factors, q_factors, u: int) -> float:
 
 
 def degroot_rhs_all(x, m_factors, q_factors):
-    a = m_factors @ q_factors.T
+    a_t = q_factors @ m_factors.T  # a_t[v, u] = m_u . q_v
     diag = (m_factors * q_factors).sum(axis=1)
-    return a @ x - diag * x
+    return x @ a_t - diag * x
 
 
 def fj_rhs(x_all, innate, susceptibility, u: int) -> float:
@@ -136,7 +137,7 @@ def fj_rhs(x_all, innate, susceptibility, u: int) -> float:
 
 
 def fj_rhs_all(x, innate, susceptibility):
-    others = x.sum() - x
+    others = x.sum(axis=-1, keepdims=True) - x
     return susceptibility * others + (1.0 - susceptibility) * innate - x
 
 
@@ -148,10 +149,10 @@ def bcm_rhs(x_all, delta: float, gamma: float, u: int) -> float:
 
 
 def bcm_rhs_all(x, delta, gamma):
-    n = x.shape[0]
-    diff = x.reshape(1, n) - x.reshape(n, 1)  # diff[u, v] = x_v - x_u
+    *lead, n = x.shape
+    diff = x.reshape(*lead, 1, n) - x.reshape(*lead, n, 1)  # diff[..., u, v] = x_v - x_u
     gate = ad.sigmoid((delta - ad.absolute(diff)) * gamma)
-    return (gate * diff).sum(axis=1)
+    return (gate * diff).sum(axis=-1)
 
 
 def sbcm_rhs(x_all, z_tilde, u: int) -> float:
@@ -162,7 +163,8 @@ def sbcm_rhs(x_all, z_tilde, u: int) -> float:
 
 
 def sbcm_rhs_all(x, z_tilde):
-    return z_tilde @ x - x * z_tilde.sum(axis=1)
+    pulled = (z_tilde @ x.reshape(*x.shape, 1)).reshape(*x.shape)
+    return pulled - x * z_tilde.sum(axis=-1)
 
 
 # ----- parameters --------------------------------------------------------------
@@ -259,6 +261,8 @@ class SinnModel:
         self.config = config
         self.time_scale = 1.0 / horizon if horizon > 0 else 1.0
         self._eye = np.eye(num_users)
+        # With no profile text at all the pooled vectors are exactly zero.
+        self._no_profiles = not encoding.masks.any()
 
     def parameters(self) -> list[Tensor]:
         params = self.fnn.parameters() + [self.head_w, self.head_b] + self.attention.parameters()
@@ -267,15 +271,32 @@ class SinnModel:
         return params
 
     def encode_users(self):
-        """(U, embed_dim) profile representations; Tensor during training."""
+        """(U, embed_dim) profile representations; Tensor during training.
+
+        When no user has profile text the encoder's output is exactly zero
+        and its context vector gets a zero gradient, so the encoder is
+        skipped: the result is a constant zero array and Adam leaves the
+        context vector untouched.
+        """
+        if self._no_profiles:
+            return np.zeros((self.num_users, self.encoding.table.dim))
         return self.encoding.encode_all(self.attention)
 
-    def latent_opinions(self, t: float, profile_matrix):
-        """x_hat and dx_hat/dt for every user at time `t` (Tensors)."""
-        inputs = network.build_inputs(
-            np.full(self.num_users, t), self._eye, profile_matrix, self.time_scale
-        )
-        return network.forward_with_time_derivative(self.fnn, inputs, self.time_scale)
+    def latent_opinions(self, times, profile_matrix):
+        """x_hat and dx_hat/dt, each (J, U), for every user at each of J times.
+
+        All J*U rows go through the network in one pass.
+        """
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        j = len(times)
+        if isinstance(profile_matrix, Tensor):
+            profiles = ad.concat([profile_matrix] * j, axis=0)
+        else:
+            profiles = np.tile(profile_matrix, (j, 1))
+        inputs = network.build_inputs(np.repeat(times, self.num_users),
+                                      np.tile(self._eye, (j, 1)), profiles, self.time_scale)
+        x_hat, dx_dt = network.forward_with_time_derivative(self.fnn, inputs, self.time_scale)
+        return x_hat.reshape(j, self.num_users), dx_dt.reshape(j, self.num_users)
 
     def logits(self, x_hat):
         return x_hat.reshape(-1, 1) * self.head_w + self.head_b
@@ -284,12 +305,16 @@ class SinnModel:
         """softmax over class logits (equal to a sigmoid for two classes)."""
         return ad.softmax(self.logits(x_hat), axis=-1)
 
-    def predict_proba(self, user_ids, times) -> np.ndarray:
-        """(n, C) class probabilities; pure numpy, no graph."""
+    def predict_proba(self, user_ids, times, encoding: CorpusEncoding | None = None) -> np.ndarray:
+        """(n, C) class probabilities; pure numpy, no graph.
+
+        `encoding` overrides the profile encoding the model was built with.
+        """
         user_ids = np.atleast_1d(np.asarray(user_ids, dtype=int))
         if np.any(user_ids < 0) or np.any(user_ids >= self.num_users):
             raise ValueError("unknown user id")
-        h_all = _encode_numpy(self.encoding, self.attention.context.data)
+        encoding = self.encoding if encoding is None else encoding
+        h_all = _encode_numpy(encoding, self.attention.context.data)
         inputs = network.build_inputs(
             np.atleast_1d(np.asarray(times, dtype=float)),
             self._eye[user_ids],
@@ -321,18 +346,11 @@ def predict(model: SinnModel, user_id: int, t_star: float,
     A `profiles` corpus overrides the one the model was built with (the
     frozen embedding table is reused).
     """
+    encoding = None
     if profiles is not None:
         encoding = CorpusEncoding(profiles, model.num_users, model.encoding.table,
                                   max_len=model.config.max_profile_len)
-        h = _encode_numpy(encoding, model.attention.context.data)[user_id]
-        if user_id < 0 or user_id >= model.num_users:
-            raise ValueError("unknown user id")
-        inputs = network.build_inputs(np.array([t_star]), model._eye[[user_id]],
-                                      h[None, :], model.time_scale)
-        x_hat = network.forward_inputs(model.fnn, inputs).data
-        logits = x_hat[:, None] * model.head_w.data + model.head_b.data
-        return ad.softmax(logits, axis=-1)[0]
-    return model.predict_proba([user_id], [t_star])[0]
+    return model.predict_proba([user_id], [t_star], encoding)[0]
 
 
 def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: TrainConfig) -> SinnModel:
@@ -399,16 +417,15 @@ def ode_rhs_all(model: SinnModel, x_hat, noise=None):
 
 
 def ode_loss(model: SinnModel, collocation_times, profile_matrix, noise_per_point=None):
-    """Mean over collocation points of the summed squared ODE residual."""
-    total = None
+    """Mean over collocation points of the summed squared ODE residual.
+
+    All J points are evaluated in one batch: `noise_per_point` is (J, U, U)
+    Gumbel noise for the stochastic variant.
+    """
     times = np.atleast_1d(np.asarray(collocation_times, dtype=float))
-    for j, t in enumerate(times):
-        x_hat, dx_dt = model.latent_opinions(float(t), profile_matrix)
-        noise = None if noise_per_point is None else noise_per_point[j]
-        residual = dx_dt - ode_rhs_all(model, x_hat, noise)
-        term = (residual * residual).sum()
-        total = term if total is None else total + term
-    return total / float(len(times))
+    x_hat, dx_dt = model.latent_opinions(times, profile_matrix)
+    residual = dx_dt - ode_rhs_all(model, x_hat, noise_per_point)
+    return (residual * residual).sum() / float(len(times))
 
 
 def l1_regularizer(model: SinnModel):
@@ -455,12 +472,21 @@ class HistoryRow:
     val_f1: float
 
 
+def selection_rule(val_ds: OpinionDataset) -> str:
+    """Which epoch's parameters `train` returns.
+
+    The epoch with the best validation macro-F1 (the first one on ties); with
+    an empty validation split there is no F1 to compare, so the last epoch.
+    """
+    return "best_val_macro_f1" if len(val_ds) > 0 else "last_epoch"
+
+
 def train(splits, profiles: ProfileCorpus, config: TrainConfig):
     """Mini-batch Adam over the composite loss.
 
     `splits` is (train, val) or (train, val, test); only the first two are
-    used.  Returns the model restored to its best validation macro-F1
-    parameters and the per-epoch history.
+    used.  Returns the model with the parameters `selection_rule` picks and
+    the per-epoch history.
     """
     train_ds, val_ds = splits[0], splits[1]
     model = build_model(train_ds, profiles, config)
@@ -474,8 +500,8 @@ def train(splits, profiles: ProfileCorpus, config: TrainConfig):
     val_users, val_times, val_labels = val_ds.users(), val_ds.times(), val_ds.labels()
 
     history: list[HistoryRow] = []
-    best_f1 = -1.0
-    best_snapshot = model.snapshot()
+    select_by_val = selection_rule(val_ds) == "best_val_macro_f1"
+    best_f1, best_snapshot = -1.0, None
     needs_noise = config.variant == "sbcm" and config.alpha > 0
 
     for epoch in range(1, config.epochs + 1):
@@ -516,11 +542,11 @@ def train(splits, profiles: ProfileCorpus, config: TrainConfig):
             val_acc,
             val_f1,
         ))
-        if val_f1 > best_f1:
-            best_f1 = val_f1
-            best_snapshot = model.snapshot()
+        if select_by_val and val_f1 > best_f1:
+            best_f1, best_snapshot = val_f1, model.snapshot()
 
-    model.restore(best_snapshot)
+    if best_snapshot is not None:
+        model.restore(best_snapshot)
     return model, history
 
 

@@ -3,9 +3,10 @@
 The network maps ``[t, one-hot(user), profile-vector]`` to a scalar in
 (-1, 1) through L hidden tanh layers plus a tanh output layer.  Besides the
 plain forward pass it exposes an exact derivative of the output with
-respect to the time input, computed by propagating a tangent through the
-same graph so that the derivative itself stays differentiable with respect
-to the weights.
+respect to the time input, computed by propagating a tangent alongside the
+value.  Either evaluation is recorded as a single autodiff node whose
+backward is the hand-derived vector-Jacobian product, so the derivative
+itself stays differentiable with respect to the weights and the inputs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, concat
+from .autodiff import Tensor, concat
 
 
 class FnnParams:
@@ -60,7 +61,7 @@ def build_inputs(t, user_onehot, profile_vec, time_scale: float = 1.0):
     `t` may be a scalar or a length-B vector; `user_onehot` and
     `profile_vec` may be 1-D (single example) or 2-D (batch).  Returns a
     Tensor when `profile_vec` is one (so encoder gradients flow), else an
-    ndarray wrapped lazily by the forward pass.
+    ndarray, which the forward pass treats as a constant.
     """
     onehot = np.atleast_2d(np.asarray(user_onehot, dtype=float))
     batch = onehot.shape[0]
@@ -72,14 +73,71 @@ def build_inputs(t, user_onehot, profile_vec, time_scale: float = 1.0):
     return np.concatenate([t_col, onehot, prof], axis=1)
 
 
+def _mlp(params: FnnParams, inputs, time_scale: float | None = None) -> Tensor:
+    """The MLP as one tape node, with its closed-form vector-Jacobian product.
+
+    Without `time_scale` the node's value is the (batch,) output a_L.  With
+    it, the value is the (2, batch) stack of a_L and da_L/dt, the tangent
+    of the output when the time column (column 0) of the input moves at
+    rate `time_scale`.  Backward maps the gradients on both rows to the
+    input matrix (when it is a Tensor), the weights and the biases: the
+    forward-over-reverse product written out per layer.
+    """
+    x = inputs if isinstance(inputs, Tensor) else None
+    a = np.asarray(inputs.data if x is not None else inputs, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("non-finite network input")
+    weights = [w.data for w in params.weights]
+    tangent = time_scale is not None
+    acts = [a]     # a_0 .. a_L
+    slopes = []    # tanh'(z_l) = 1 - a_l**2
+    dzs = []       # tangents of the pre-activations, da_{l-1} @ W_l
+    tangs = []     # da_1 .. da_L
+    for w, b in zip(weights, (b.data for b in params.biases)):
+        a = np.tanh(a @ w + b)
+        acts.append(a)
+        slopes.append(1.0 - a * a)
+        if tangent:
+            # The input tangent is time_scale in column 0 and zero elsewhere.
+            dzs.append(time_scale * w[0] if not tangs else tangs[-1] @ w)
+            tangs.append(slopes[-1] * dzs[-1])
+    value = np.stack([a.reshape(-1), tangs[-1].reshape(-1)]) if tangent else a.reshape(-1)
+    parents = ((x,) if x is not None else ()) + tuple(params.weights) + tuple(params.biases)
+    out = Tensor(value, parents)
+    input_grad = x is not None and x.requires_grad
+
+    def _backward(grad):
+        ga = (grad[0] if tangent else grad).reshape(-1, 1)
+        gda = grad[1].reshape(-1, 1) if tangent else None
+        for layer in reversed(range(len(weights))):
+            w, slope = weights[layer], slopes[layer]
+            if tangent:
+                # da_l = slope_l * dz_l, and slope_l depends on a_l too.
+                gdz = gda * slope
+                ga = ga - 2.0 * acts[layer + 1] * (gda * dzs[layer])
+            gz = ga * slope
+            gw = acts[layer].T @ gz
+            if tangent and layer > 0:
+                gw += tangs[layer - 1].T @ gdz
+                gda = gdz @ w.T
+            elif tangent:
+                gw[0] += time_scale * gdz.sum(axis=0)
+            if params.weights[layer].requires_grad:
+                params.weights[layer]._accumulate(gw)
+            if params.biases[layer].requires_grad:
+                params.biases[layer]._accumulate(gz.sum(axis=0))
+            if layer > 0 or input_grad:
+                ga = gz @ w.T
+        if input_grad:
+            x._accumulate(ga)
+
+    out._backward = _backward
+    return out
+
+
 def forward_inputs(params: FnnParams, inputs):
     """Run the MLP on a prebuilt (batch, D) input matrix; returns (batch,) Tensor."""
-    a = as_tensor(inputs)
-    if not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite network input")
-    for w, b in zip(params.weights, params.biases):
-        a = (a @ w + b).tanh()
-    return a.reshape(-1)
+    return _mlp(params, inputs)
 
 
 def forward(params: FnnParams, t, user_onehot, profile_vec, time_scale: float = 1.0):
@@ -91,19 +149,12 @@ def forward_with_time_derivative(params: FnnParams, inputs, time_scale: float = 
     """Network output and its exact partial derivative in the time input.
 
     The tangent of the input with respect to raw time is `time_scale` in
-    column 0 and zero elsewhere; it is pushed through every layer alongside
-    the value, so both returned Tensors are differentiable in the weights.
+    column 0 and zero elsewhere.  Both come from one tape node (see
+    `_mlp`), so both returned (batch,) Tensors are differentiable in the
+    weights and in the input matrix.
     """
-    a = as_tensor(inputs)
-    if not np.all(np.isfinite(a.data)):
-        raise ValueError("non-finite network input")
-    tang = np.zeros(a.shape)
-    tang[:, 0] = time_scale
-    da = Tensor(tang)
-    for w, b in zip(params.weights, params.biases):
-        a = (a @ w + b).tanh()
-        da = (1.0 - a * a) * (da @ w)
-    return a.reshape(-1), da.reshape(-1)
+    both = _mlp(params, inputs, time_scale)
+    return both[0], both[1]
 
 
 def value_and_time_derivative(params: FnnParams, t, user_onehot, profile_vec, time_scale: float = 1.0):

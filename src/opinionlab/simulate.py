@@ -113,16 +113,16 @@ def sbcm_partner_probs(opinions, u: int, rho, eps: float = DISTANCE_EPS):
 def sbcm_partner_matrix(opinions, rho, eps: float = DISTANCE_EPS):
     """Row-stochastic matrix of partner probabilities, zero diagonal.
 
-    Accepts an ndarray or a Tensor of opinions; in the latter case the
-    result is differentiable in the opinions and in `rho`.
+    Accepts an ndarray or a Tensor of opinions shaped (U,), giving a (U, U)
+    matrix, or (J, U), giving J of them; with a Tensor the result is
+    differentiable in the opinions and in `rho`.
     """
-    n = opinions.shape[0]
-    col = opinions.reshape(n, 1) if isinstance(opinions, ad.Tensor) else np.reshape(opinions, (n, 1))
-    dist = ad.absolute(col - opinions.reshape(1, n))
+    *lead, n = opinions.shape
+    dist = ad.absolute(opinions.reshape(*lead, n, 1) - opinions.reshape(*lead, 1, n))
     w = interaction_weights(dist, rho, eps)
     off_diag = 1.0 - np.eye(n)
     w = w * off_diag
-    return w / w.sum(axis=1, keepdims=True)
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def step_sbcm(state: SimState, config: SbcmGenConfig, log: InteractionLog | None = None) -> SimState:

@@ -116,6 +116,16 @@ class TestTrainCommand:
         printed = json.loads(capsys.readouterr().out.strip())
         assert {"val_acc", "val_f1", "test_acc", "test_f1"} <= set(printed)
 
+    def test_metrics_record_selection_rule(self, workspace):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 0
+        doc["data"]["split"] = [0.7, 0.0, 0.3]
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+        rules = [json.loads((tmp_path / d / "metrics.json").read_text())["selection"] for d in "ab"]
+        assert rules == ["best_val_macro_f1", "last_epoch"]
+
     def test_missing_dataset_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": {"dataset": str(tmp_path / "nope.jsonl")}}))

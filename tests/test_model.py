@@ -1,10 +1,13 @@
 """ODE residuals, Gumbel-Softmax relaxation, losses, and training loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from opinionlab import model as model_mod
-from opinionlab.autodiff import Tensor
+from opinionlab import model as model_mod, network
+from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, Post, ProfileCorpus, chronological_split, SplitSpec
 from opinionlab.model import (
     OdeParams,
@@ -22,6 +25,8 @@ from opinionlab.model import (
     gumbel_softmax,
     gumbel_softmax_sample,
     load_model,
+    ode_loss,
+    ode_rhs_all,
     predict,
     save_model,
     sbcm_rhs,
@@ -267,6 +272,105 @@ class TestLosses:
             total_loss(m, users, times, labels, np.array([1.0]))
 
 
+def per_point_ode_loss(m, times, profile_matrix, noise):
+    """ode_loss as a loop over collocation points on (U,) opinion vectors."""
+    total = 0.0
+    for j, t in enumerate(times):
+        inputs = network.build_inputs(np.full(m.num_users, t), m._eye, profile_matrix, m.time_scale)
+        x_hat, dx_dt = network.forward_with_time_derivative(m.fnn, inputs, m.time_scale)
+        residual = dx_dt - ode_rhs_all(m, x_hat, noise[j])
+        total = (residual * residual).sum() + total
+    return total / float(len(times))
+
+
+class TestBatchedOdeLoss:
+    """All collocation points in one pass against the per-point loop: loss
+    and every parameter gradient within 1e-12 relative, for one step."""
+
+    @pytest.mark.parametrize("variant", ["degroot", "fj", "bcm", "sbcm"])
+    @pytest.mark.parametrize("num_points", [1, 3])
+    def test_matches_per_point_loop(self, variant, num_points):
+        rng = np.random.default_rng(num_points)
+        ds = tiny_dataset(num_users=5)
+        cfg = TrainConfig(variant=variant, num_layers=2, width=6, embed_dim=4, seed=1)
+        m = build_model(ds, tiny_profiles(5), cfg)
+        for p in m.parameters():
+            p.data = np.asarray(p.data + rng.normal(scale=0.1, size=p.data.shape))
+        times = rng.uniform(0, ds.horizon, size=num_points)
+        noise = model_mod.gumbel_noise(rng, (num_points, 5, 5))
+
+        results = []
+        for loss_fn in (ode_loss, per_point_ode_loss):
+            for p in m.parameters():
+                p.grad = None
+            loss = loss_fn(m, times, m.encode_users(), noise)
+            loss.backward()
+            results.append((loss.item(), [p.grad for p in m.parameters()]))
+        (batched, g_batched), (looped, g_looped) = results
+        assert batched == pytest.approx(looped, rel=1e-12, abs=0)
+        for i, (a, b) in enumerate(zip(g_batched, g_looped)):
+            if b is None:  # parameters the ODE term does not touch
+                assert a is None, i
+                continue
+            assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300), i
+
+
+class TestTapeLifetime:
+    @pytest.mark.parametrize("variant", ["degroot", "fj", "bcm", "sbcm"])
+    def test_step_graph_freed_without_cycle_collector(self, variant):
+        """Dropping the loss frees the whole tape by reference counting."""
+        ds = tiny_dataset()
+        m = build_model(ds, tiny_profiles(), TrainConfig(variant=variant, num_layers=2, width=4,
+                                                         embed_dim=4, seed=0))
+        opt = Adam(m.parameters())
+        noise = model_mod.gumbel_noise(np.random.default_rng(0), (2, 4, 4))
+        gc.disable()
+        try:
+            loss, _ = total_loss(m, ds.users(), ds.times(), ds.labels(), np.array([1.0, 2.5]), noise)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            interior = [weakref.ref(loss)]
+            todo = list(loss._parents)
+            while todo:
+                node = todo.pop()
+                if node._parents:
+                    interior.append(weakref.ref(node))
+                    todo.extend(node._parents)
+            del node
+            assert len(interior) > 10
+            assert all(r() is not None for r in interior)
+            del loss
+            assert [r for r in interior if r() is not None] == []
+        finally:
+            gc.enable()
+
+
+class TestEmptyCorpusSkip:
+    def test_zero_profiles_without_encoder(self):
+        ds = tiny_dataset()
+        m = build_model(ds, ProfileCorpus({}), TrainConfig(num_layers=1, width=3, embed_dim=4))
+        h = m.encode_users()
+        assert isinstance(h, np.ndarray)
+        np.testing.assert_array_equal(h, np.zeros((4, 4)))
+
+    def test_training_bitwise_identical_to_encoder_path(self, monkeypatch):
+        ds = tiny_dataset()
+        splits = chronological_split(ds, SplitSpec(0.6, 0.4, 0.0))
+        cfg = TrainConfig(variant="sbcm", epochs=4, num_layers=2, width=4, embed_dim=4,
+                          batch_size=8, seed=3)
+        skipped, h_skipped = train(splits, ProfileCorpus({}), cfg)
+        fresh = build_model(splits[0], ProfileCorpus({}), cfg)
+        monkeypatch.setattr(model_mod.SinnModel, "encode_users",
+                            lambda self: self.encoding.encode_all(self.attention))
+        encoded, h_encoded = train(splits, ProfileCorpus({}), cfg)
+        assert h_skipped == h_encoded
+        for a, b in zip(skipped.parameters(), encoded.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(skipped.attention.context.data,
+                                      fresh.attention.context.data)
+
+
 class TestTraining:
     def test_loss_decreases_on_separable_problem(self):
         """Users with fixed opposite labels: the data loss must fall."""
@@ -302,6 +406,19 @@ class TestTraining:
         for p1, p2 in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
+    def test_empty_validation_keeps_last_epoch(self):
+        """With no validation posts there is no F1 to select on: the run
+        returns its last epoch, not its first."""
+        ds = tiny_dataset()
+        splits = chronological_split(ds, SplitSpec(0.7, 0.0, 0.3))
+        assert len(splits[1]) == 0
+        assert model_mod.selection_rule(splits[1]) == "last_epoch"
+        cfg = TrainConfig(variant="fj", epochs=1, num_layers=1, width=3, embed_dim=4, seed=0)
+        short, _ = train(splits, tiny_profiles(), cfg)
+        long, _ = train(splits, tiny_profiles(), TrainConfig.from_dict({**cfg.to_dict(), "epochs": 30}))
+        assert any(not np.array_equal(a.data, b.data)
+                   for a, b in zip(short.parameters(), long.parameters()))
+
     def test_freeze_ode_keeps_dynamics_parameters(self):
         ds = tiny_dataset()
         splits = chronological_split(ds, SplitSpec(0.6, 0.4, 0.0))
@@ -327,6 +444,21 @@ class TestPredictAndCheckpoint:
                                                          embed_dim=4, seed=0))
         with pytest.raises(ValueError):
             predict(m, 99, 1.0)
+
+    def test_predict_unknown_user_with_profiles(self):
+        ds = tiny_dataset()
+        m = build_model(ds, tiny_profiles(), TrainConfig(num_layers=1, width=3,
+                                                         embed_dim=4, seed=0))
+        for user in (99, -1):
+            with pytest.raises(ValueError):
+                predict(m, user, 1.0, profiles=tiny_profiles())
+
+    def test_profile_override_matches_predict_proba(self):
+        ds = tiny_dataset()
+        profiles = tiny_profiles()
+        m = build_model(ds, profiles, TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0))
+        np.testing.assert_array_equal(predict(m, 1, 2.0, profiles=profiles),
+                                      m.predict_proba([1], [2.0])[0])
 
     def test_profile_override_changes_output(self):
         ds = tiny_dataset()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opinionlab import network
-from opinionlab.autodiff import Tensor
+from opinionlab.autodiff import Tensor, as_tensor
 
 
 def make_net(num_layers=3, width=8, input_dim=6, seed=0):
@@ -104,6 +104,100 @@ class TestTimeDerivative:
         value, _ = network.value_and_time_derivative(params, t, onehot, prof, 0.2)
         plain = network.forward(params, t, onehot, prof, 0.2)
         np.testing.assert_allclose(value.data, plain.data, atol=1e-12)
+
+
+def layered_forward(params, inputs, time_scale=None):
+    """The network as a chain of elementary tape ops, one node per op.
+
+    This is the composition the fused node replaced; it stays here as the
+    oracle for the fused value, tangent and gradients.
+    """
+    a = as_tensor(inputs)
+    da = None
+    if time_scale is not None:
+        tang = np.zeros(a.shape)
+        tang[:, 0] = time_scale
+        da = Tensor(tang)
+    for w, b in zip(params.weights, params.biases):
+        a = (a @ w + b).tanh()
+        if da is not None:
+            da = (1.0 - a * a) * (da @ w)
+    return a.reshape(-1), None if da is None else da.reshape(-1)
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    """Max abs difference within `rel` of the oracle's largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * max(np.abs(want).max(), 1e-300)
+
+
+class TestFusedNodeParity:
+    """The one-node MLP against the layer-by-layer composition: bitwise
+    values and tangents, gradients within 1e-12 relative."""
+
+    def random_case(self, rng, case):
+        params = make_net(num_layers=int(rng.integers(1, 5)), width=int(rng.integers(2, 12)),
+                          input_dim=int(rng.integers(2, 9)), seed=case)
+        for p in params.parameters():  # nonzero biases exercise their gradient path
+            p.data = p.data + rng.normal(scale=0.3, size=p.data.shape)
+        batch = int(rng.integers(1, 20))
+        x = rng.standard_normal((batch, params.input_dim))
+        return params, x, batch, float(rng.uniform(0.05, 1.0))
+
+    def grads(self, params, x):
+        out = [p.grad.copy() for p in params.parameters()]
+        return out + ([x.grad.copy()] if isinstance(x, Tensor) else [])
+
+    def run(self, fn, params, x, coef):
+        for p in params.parameters():
+            p.grad = None
+        outs = fn(params, x)
+        loss = sum((o * c).sum() for o, c in zip(outs, coef))
+        loss.backward()
+        return [o.data for o in outs], self.grads(params, x)
+
+    @pytest.mark.parametrize("tensor_input", [False, True])
+    def test_value_only(self, tensor_input):
+        rng = np.random.default_rng(10)
+        for case in range(30):
+            params, x, batch, _ = self.random_case(rng, case)
+            coef = [rng.standard_normal(batch)]
+
+            def make_input():
+                return Tensor(x, requires_grad=True) if tensor_input else x
+
+            got, g_got = self.run(lambda p, i: [network.forward_inputs(p, i)], params, make_input(), coef)
+            want, g_want = self.run(lambda p, i: [layered_forward(p, i)[0]], params, make_input(), coef)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert len(g_got) == len(g_want)
+            for a, b in zip(g_got, g_want):
+                assert_rel_close(a, b)
+
+    @pytest.mark.parametrize("tensor_input", [False, True])
+    def test_value_and_tangent(self, tensor_input):
+        rng = np.random.default_rng(11)
+        for case in range(30):
+            params, x, batch, scale = self.random_case(rng, case)
+            coef = [rng.standard_normal(batch), rng.standard_normal(batch)]
+
+            def make_input():
+                return Tensor(x, requires_grad=True) if tensor_input else x
+
+            got, g_got = self.run(
+                lambda p, i: network.forward_with_time_derivative(p, i, scale), params, make_input(), coef)
+            want, g_want = self.run(
+                lambda p, i: layered_forward(p, i, scale), params, make_input(), coef)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            for a, b in zip(g_got, g_want):
+                assert_rel_close(a, b)
+
+    def test_one_tape_node(self):
+        params = make_net(num_layers=3, input_dim=4)
+        x = Tensor(np.ones((5, 4)), requires_grad=True)
+        out = network.forward_inputs(params, x)
+        assert set(map(id, out._parents)) == set(map(id, [x] + params.parameters()))
+        assert all(p._parents == () for p in out._parents)
 
 
 class TestCheckpointIO:
