@@ -76,28 +76,20 @@ def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> 
     num_steps = int(np.floor((t_last - t_start) / grid_dt + 1e-9)) + 1
     grid = t_start + grid_dt * np.arange(num_steps)
 
-    values = np.zeros((dataset.num_users, num_steps))
-    seen = np.zeros(dataset.num_users, dtype=bool)
-    # Walk posts once; for each user fill from their previous post onward.
-    last_value = np.zeros(dataset.num_users)
-    last_index = np.zeros(dataset.num_users, dtype=int)
-    for post in dataset.posts:
-        value = label_to_continuous(post.label, dataset.num_classes)
-        idx = int(np.searchsorted(grid, post.time + 1e-12) - 1)
-        idx = max(idx, 0)
-        u = post.user_id
-        if not seen[u]:
-            values[u, : idx + 1] = value  # back-fill before the first post
-            seen[u] = True
-        else:
-            values[u, last_index[u] : idx + 1] = last_value[u]
-            values[u, idx] = value
-        last_value[u] = value
-        last_index[u] = idx
-    for u in range(dataset.num_users):
-        if seen[u]:
-            values[u, last_index[u] :] = last_value[u]
-    missing = tuple(int(u) for u in range(dataset.num_users) if not seen[u])
+    # Index of the latest post at or before each (user, grid step); a
+    # user's cells before their first post take that first post.
+    users = dataset.users()
+    cells = np.maximum(np.searchsorted(grid, times + 1e-12) - 1, 0)
+    latest = np.full((dataset.num_users, num_steps), -1)
+    np.maximum.at(latest, (users, cells), np.arange(len(users)))
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    seen_users, first_post = np.unique(users, return_index=True)
+    first = np.full(dataset.num_users, -1)
+    first[seen_users] = first_post
+    latest = np.where(latest < 0, first[:, None], latest)
+    post_values = label_to_continuous(dataset.labels(), dataset.num_classes)
+    values = np.where(latest >= 0, post_values[latest], 0.0)
+    missing = tuple(np.flatnonzero(first < 0).tolist())
     return RegularSeries(values, t_start, float(grid_dt), missing)
 
 
@@ -117,7 +109,8 @@ def voter_predict(train: OpinionDataset, test_posts, repeats: int = 10, seed: in
     rng = np.random.default_rng(seed)
     test_times = np.array([p.time for p in test_posts])
     test_users = np.array([p.user_id for p in test_posts], dtype=int)
-    horizon_steps = max(0, int(np.ceil((test_times.max() - series.t_end) / series.dt))) if len(test_posts) else 0
+    horizon_steps = int(np.ceil((test_times.max(initial=series.t_end) - series.t_end) / series.dt))
+    steps = np.clip(np.round((test_times - series.t_end) / series.dt).astype(int), 0, horizon_steps)
 
     preds = np.zeros((repeats, len(test_posts)), dtype=int)
     for r in range(repeats):
@@ -127,9 +120,7 @@ def voter_predict(train: OpinionDataset, test_posts, repeats: int = 10, seed: in
         for k in range(1, horizon_steps + 1):
             x = x[rng.integers(0, num_users, size=num_users)]
             states[k] = x
-        steps = np.clip(np.round((test_times - series.t_end) / series.dt).astype(int), 0, horizon_steps)
-        continuous = states[steps, test_users]
-        preds[r] = [discretize_opinion(v, train.num_classes) for v in continuous]
+        preds[r] = discretize_opinion(states[steps, test_users], train.num_classes)
     return preds
 
 
@@ -177,17 +168,20 @@ def _integrate_linear(a: np.ndarray, x0: np.ndarray, t_span: float, step: float)
 
 
 def degroot_predict(fit: DegrootFit, test_posts, num_classes: int) -> np.ndarray:
-    """Integrate the fitted linear system to each test time and discretize."""
-    order = np.argsort([p.time for p in test_posts], kind="stable")
+    """Integrate the fitted linear system to each distinct test time, in
+    time order, and discretize every post at that time."""
+    times = np.array([p.time for p in test_posts])
+    users = np.array([p.user_id for p in test_posts], dtype=int)
+    order = np.argsort(times, kind="stable")
+    group_times, starts = np.unique(times[order], return_index=True)
     preds = np.zeros(len(test_posts), dtype=int)
     x = fit.x_end.copy()
     t = fit.t_end
     step = fit.grid_dt / 4.0
-    for i in order:
-        post = test_posts[i]
-        x = _integrate_linear(fit.interaction, x, post.time - t, step)
-        t = max(t, post.time)
-        preds[i] = discretize_opinion(x[post.user_id], num_classes)
+    for t_next, group in zip(group_times, np.split(order, starts[1:])):
+        x = _integrate_linear(fit.interaction, x, t_next - t, step)
+        t = max(t, t_next)
+        preds[group] = discretize_opinion(x[users[group]], num_classes)
     return preds
 
 
@@ -220,17 +214,12 @@ def aslm_step(fit: AslmFit, x: np.ndarray) -> np.ndarray:
 
 def aslm_predict(fit: AslmFit, test_posts, num_classes: int) -> np.ndarray:
     """Iterate the one-step map to each test time and discretize."""
-    if not len(test_posts):
-        return np.zeros(0, dtype=int)
     times = np.array([p.time for p in test_posts])
-    max_steps = max(0, int(np.ceil((times.max() - fit.t_end) / fit.grid_dt)))
+    max_steps = int(np.ceil((times.max(initial=fit.t_end) - fit.t_end) / fit.grid_dt))
     states = np.empty((max_steps + 1, fit.x_end.shape[0]))
     states[0] = fit.x_end
     for k in range(1, max_steps + 1):
         states[k] = aslm_step(fit, states[k - 1])
+    users = np.array([p.user_id for p in test_posts], dtype=int)
     steps = np.clip(np.round((times - fit.t_end) / fit.grid_dt).astype(int), 0, max_steps)
-    preds = np.array([
-        discretize_opinion(states[k, p.user_id], num_classes)
-        for k, p in zip(steps, test_posts)
-    ])
-    return preds
+    return discretize_opinion(states[steps, users], num_classes)

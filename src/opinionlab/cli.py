@@ -238,6 +238,8 @@ def parse_axes(text: str) -> dict:
 def cmd_gridsearch(args) -> int:
     doc = load_run_config(args.config)
     _, profiles, splits = _load_data(doc)
+    if len(splits[1]) == 0:
+        raise CliError("grid search ranks cells by validation F1, but the validation split is empty")
     base = _train_config(doc, args.seed)
     axes = parse_axes(args.axes) if args.axes else dict(harness.DEFAULT_AXES)
     out = _out_dir(args)

@@ -63,12 +63,3 @@ def compute_metrics(true_labels, pred_labels, num_classes: int,
             f1_values.append(f1)
     macro_f1 = float(np.mean(f1_values)) if f1_values else 0.0
     return Metrics(accuracy, macro_f1, tuple(reports), matrix)
-
-
-def class_distribution(posts, t_start: float, t_end: float, num_classes: int) -> np.ndarray:
-    """Histogram of post labels with time in [t_start, t_end]."""
-    counts = np.zeros(num_classes, dtype=int)
-    for post in posts:
-        if t_start <= post.time <= t_end:
-            counts[post.label] += 1
-    return counts

@@ -229,9 +229,10 @@ class OdeParams:
     def load_dict(self, doc: dict):
         for name in ("m_factors", "q_factors", "raw_s", "raw_delta", "raw_gamma", "rho"):
             if name in doc:
-                getattr(self, name).data = np.asarray(doc[name], dtype=float)
+                param = getattr(self, name)
+                param.data = _checkpoint_array(doc[name], f"ode.{name}", param.shape)
         if "innate" in doc:
-            self.innate = np.asarray(doc["innate"], dtype=float)
+            self.innate = _checkpoint_array(doc["innate"], "ode.innate", self.innate.shape)
 
 
 def _softplus(x):
@@ -369,12 +370,9 @@ def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: Train
 
     innate = None
     if config.variant == "fj":
-        innate = np.zeros(num_users)
-        seen = set()
-        for post in train_ds.posts:  # first training post anchors the user
-            if post.user_id not in seen:
-                innate[post.user_id] = label_to_continuous(post.label, num_classes)
-                seen.add(post.user_id)
+        innate = np.zeros(num_users)  # each user's first training post anchors them
+        anchored, first = np.unique(train_ds.users(), return_index=True)
+        innate[anchored] = label_to_continuous(train_ds.labels()[first], num_classes)
     ode = OdeParams(config.variant, num_users, config, rng, innate=innate)
     return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
                      num_users, num_classes, horizon, config)
@@ -580,8 +578,20 @@ def save_model(model: SinnModel, path):
         json.dump(doc, fh, sort_keys=True)
 
 
+def _checkpoint_array(value, field: str, shape) -> np.ndarray:
+    """`value` as a float array of `shape`, or ValueError naming `field`."""
+    array = np.asarray(value, dtype=float)
+    if array.shape != tuple(shape):
+        raise ValueError(f"checkpoint field {field!r} has shape {array.shape}, expected {tuple(shape)}")
+    return array
+
+
 def load_model(path, profiles: ProfileCorpus) -> SinnModel:
-    """Rebuild a model from a checkpoint plus the profile corpus it used."""
+    """Rebuild a model from a checkpoint plus the profile corpus it used.
+
+    An array whose shape does not fit the checkpoint's `num_users`,
+    `num_classes` and `config` raises ValueError naming the field.
+    """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     config = TrainConfig.from_dict(doc["config"])
@@ -590,10 +600,17 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
 
     table = EmbeddingTable.from_corpus(profiles, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table, max_len=config.max_profile_len)
-    attention = AttentionParams(np.asarray(doc["context"], dtype=float))
+    attention = AttentionParams(_checkpoint_array(doc["context"], "context", (config.embed_dim,)))
+    layout = network.init_params(config.num_layers, config.width,
+                                 1 + num_users + config.embed_dim, seed=0)
+    for key in ("weights", "biases"):
+        shapes = [np.shape(v) for v in doc["fnn"][key]]
+        expected = [p.shape for p in getattr(layout, key)]
+        if shapes != expected:
+            raise ValueError(f"checkpoint field 'fnn.{key}' has shapes {shapes}, expected {expected}")
     fnn = network.params_from_dict(doc["fnn"])
-    head_w = Tensor(np.asarray(doc["head_w"], dtype=float), requires_grad=True)
-    head_b = Tensor(np.asarray(doc["head_b"], dtype=float), requires_grad=True)
+    head_w = Tensor(_checkpoint_array(doc["head_w"], "head_w", (num_classes,)), requires_grad=True)
+    head_b = Tensor(_checkpoint_array(doc["head_b"], "head_b", (num_classes,)), requires_grad=True)
     rng = np.random.default_rng(config.seed)
     ode = OdeParams(config.variant, num_users, config, rng)
     ode.load_dict(doc["ode"])

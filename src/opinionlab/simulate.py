@@ -178,11 +178,10 @@ def step_voter(state: SimState) -> SimState:
 def trajectory_to_dataset(trajectory: np.ndarray, num_classes: int = 5) -> OpinionDataset:
     """One post per user per step; label = discretized opinion, time = step."""
     num_users, num_steps = trajectory.shape
-    posts = []
-    for t in range(num_steps):
-        for u in range(num_users):
-            posts.append(Post(u, float(t), discretize_opinion(trajectory[u, t], num_classes)))
-    return OpinionDataset(tuple(posts), num_users, num_classes, float(num_steps))
+    labels = discretize_opinion(trajectory, num_classes).T.tolist()
+    posts = tuple(Post(u, float(t), label)
+                  for t, row in enumerate(labels) for u, label in enumerate(row))
+    return OpinionDataset(posts, num_users, num_classes, float(num_steps))
 
 
 def generate_sbcm_dataset(config: SbcmGenConfig):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinionlab import baselines
 from opinionlab.baselines import (
@@ -15,12 +16,168 @@ from opinionlab.baselines import (
     regularize_series,
     voter_predict,
 )
-from opinionlab.data import OpinionDataset, Post, label_to_continuous
+from opinionlab.data import OpinionDataset, Post, discretize_opinion, label_to_continuous
 
 
 def make_dataset(posts, num_users, num_classes=5):
     horizon = max(p.time for p in posts) + 1
     return OpinionDataset(tuple(posts), num_users, num_classes, horizon)
+
+
+# ----- per-post reference loops ------------------------------------------------
+#
+# The baselines work on whole arrays; these loops walk one post at a time
+# and are the oracles the array forms must match exactly.
+
+
+def regularize_series_loop(dataset, grid_dt=None):
+    if grid_dt is None:
+        grid_dt = default_grid_dt(dataset)
+    times = dataset.times()
+    t_start, t_last = float(times[0]), float(times[-1])
+    num_steps = int(np.floor((t_last - t_start) / grid_dt + 1e-9)) + 1
+    grid = t_start + grid_dt * np.arange(num_steps)
+    values = np.zeros((dataset.num_users, num_steps))
+    seen = np.zeros(dataset.num_users, dtype=bool)
+    last_value = np.zeros(dataset.num_users)
+    last_index = np.zeros(dataset.num_users, dtype=int)
+    for post in dataset.posts:
+        value = label_to_continuous(post.label, dataset.num_classes)
+        idx = max(int(np.searchsorted(grid, post.time + 1e-12) - 1), 0)
+        u = post.user_id
+        if not seen[u]:
+            values[u, : idx + 1] = value
+            seen[u] = True
+        else:
+            values[u, last_index[u] : idx + 1] = last_value[u]
+            values[u, idx] = value
+        last_value[u] = value
+        last_index[u] = idx
+    for u in range(dataset.num_users):
+        if seen[u]:
+            values[u, last_index[u] :] = last_value[u]
+    missing = tuple(int(u) for u in range(dataset.num_users) if not seen[u])
+    return RegularSeries(values, t_start, float(grid_dt), missing)
+
+
+def voter_predict_loop(train, test_posts, repeats=10, seed=0):
+    series = regularize_series_loop(train)
+    x_end = series.values[:, -1]
+    num_users = train.num_users
+    rng = np.random.default_rng(seed)
+    test_times = np.array([p.time for p in test_posts])
+    test_users = np.array([p.user_id for p in test_posts], dtype=int)
+    horizon_steps = max(0, int(np.ceil((test_times.max() - series.t_end) / series.dt)))
+    preds = np.zeros((repeats, len(test_posts)), dtype=int)
+    for r in range(repeats):
+        states = np.empty((horizon_steps + 1, num_users))
+        states[0] = x_end
+        x = x_end
+        for k in range(1, horizon_steps + 1):
+            x = x[rng.integers(0, num_users, size=num_users)]
+            states[k] = x
+        steps = np.clip(np.round((test_times - series.t_end) / series.dt).astype(int), 0, horizon_steps)
+        continuous = states[steps, test_users]
+        preds[r] = [discretize_opinion(v, train.num_classes) for v in continuous]
+    return preds
+
+
+def degroot_predict_loop(fit, test_posts, num_classes):
+    order = np.argsort([p.time for p in test_posts], kind="stable")
+    preds = np.zeros(len(test_posts), dtype=int)
+    x = fit.x_end.copy()
+    t = fit.t_end
+    for i in order:
+        post = test_posts[i]
+        x = baselines._integrate_linear(fit.interaction, x, post.time - t, fit.grid_dt / 4.0)
+        t = max(t, post.time)
+        preds[i] = discretize_opinion(x[post.user_id], num_classes)
+    return preds
+
+
+def aslm_predict_loop(fit, test_posts, num_classes):
+    times = np.array([p.time for p in test_posts])
+    max_steps = max(0, int(np.ceil((times.max() - fit.t_end) / fit.grid_dt)))
+    states = np.empty((max_steps + 1, fit.x_end.shape[0]))
+    states[0] = fit.x_end
+    for k in range(1, max_steps + 1):
+        states[k] = aslm_step(fit, states[k - 1])
+    steps = np.clip(np.round((times - fit.t_end) / fit.grid_dt).astype(int), 0, max_steps)
+    return np.array([discretize_opinion(states[k, p.user_id], num_classes)
+                     for k, p in zip(steps, test_posts)])
+
+
+def random_posts(rng, num_users, num_steps, num_classes=5, t0=0.0):
+    """Posts by a random subset of users at random times on a 0.5 grid,
+    including several posts per time."""
+    times = np.sort(t0 + 0.5 * rng.integers(0, 2 * num_steps, size=4 * num_steps))
+    users = rng.integers(0, num_users - 1, size=times.size)  # the last user never posts
+    labels = rng.integers(0, num_classes, size=times.size)
+    return [Post(int(u), float(t), int(c)) for u, t, c in zip(users, times, labels)]
+
+
+def assert_series_equal(actual, expected):
+    assert actual.values.dtype == expected.values.dtype
+    np.testing.assert_array_equal(actual.values, expected.values)
+    assert (actual.t_start, actual.dt, actual.users_without_posts) == \
+        (expected.t_start, expected.dt, expected.users_without_posts)
+
+
+class TestArrayFormsMatchLoops:
+    """Each baseline's array form against its per-post loop, compared exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_regularize_series(self, data):
+        num_users = data.draw(st.integers(1, 6), label="num_users")
+        num_classes = data.draw(st.integers(2, 6), label="num_classes")
+        times = sorted(data.draw(st.lists(
+            st.one_of(st.floats(0.0, 12.0), st.sampled_from([0.0, 0.5, 1.0, 3.0, 7.5])),
+            min_size=1, max_size=40), label="times"))
+        posts = [Post(data.draw(st.integers(0, num_users - 1)), t,
+                      data.draw(st.integers(0, num_classes - 1))) for t in times]
+        grid_dt = data.draw(st.one_of(st.none(), st.floats(0.15, 4.0)), label="grid_dt")
+        dataset = OpinionDataset(tuple(posts), num_users, num_classes, times[-1] + 1.0)
+        assert_series_equal(regularize_series(dataset, grid_dt),
+                            regularize_series_loop(dataset, grid_dt))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_voter_same_seed(self, seed):
+        rng = np.random.default_rng(seed)
+        train = make_dataset(random_posts(rng, 7, 20), 7)
+        test_posts = list(rng.permutation(random_posts(rng, 7, 10, t0=21.0)))
+        np.testing.assert_array_equal(voter_predict(train, test_posts, repeats=4, seed=seed),
+                                      voter_predict_loop(train, test_posts, repeats=4, seed=seed))
+
+    def test_degroot_repeated_unsorted_times(self):
+        rng = np.random.default_rng(5)
+        series = regularize_series(make_dataset(random_posts(rng, 6, 30), 6))
+        fit = fit_degroot(series)
+        test_posts = list(rng.permutation(random_posts(rng, 6, 12, t0=series.t_end - 2.0)))
+        preds = degroot_predict(fit, test_posts, 5)
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, degroot_predict_loop(fit, test_posts, 5))
+
+    def test_degroot_diverging_fit_gives_nan(self):
+        """A fit whose rollout overflows: its NaN opinions map to class 0
+        in both forms."""
+        a = np.array([[0.0, 40.0, -40.0], [-40.0, 0.0, 40.0], [40.0, -40.0, 0.0]])
+        fit = baselines.DegrootFit(a, np.array([0.5, -0.2, 0.9]), 0.0, 1.0)
+        test_posts = [Post(u, t, 0) for t in (31.0, 30.0, 31.0, 30.0) for u in range(3)]
+        with np.errstate(all="ignore"):
+            assert np.isnan(baselines._integrate_linear(a, fit.x_end, 30.0, 0.25)).all()
+            preds = degroot_predict(fit, test_posts, 5)
+            expected = degroot_predict_loop(fit, test_posts, 5)
+        np.testing.assert_array_equal(preds, expected)
+        np.testing.assert_array_equal(preds, 0)
+
+    def test_aslm(self):
+        rng = np.random.default_rng(6)
+        fit = fit_aslm(regularize_series(make_dataset(random_posts(rng, 5, 25), 5)))
+        test_posts = list(rng.permutation(random_posts(rng, 5, 10, t0=fit.t_end)))
+        preds = aslm_predict(fit, test_posts, 5)
+        assert preds.dtype == np.int64
+        np.testing.assert_array_equal(preds, aslm_predict_loop(fit, test_posts, 5))
 
 
 class TestRegularize:

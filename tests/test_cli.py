@@ -178,6 +178,17 @@ class TestGridsearchCommand:
         printed = json.loads(capsys.readouterr().out.strip())
         assert printed["cells"] == 2
 
+    def test_empty_validation_split_refused_before_training(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        doc["data"]["split"] = [0.7, 0.0, 0.3]
+        cfg_path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli.harness, "grid_search", lambda *a, **k: pytest.fail("trained"))
+        code = main(["gridsearch", "--config", str(cfg_path), "--axes", "variant=fj",
+                     "--out", str(tmp_path / "grid")])
+        assert code == 2
+        assert "validation split is empty" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_writes_csv(self, workspace, capsys):

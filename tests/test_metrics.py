@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from opinionlab.metrics import class_distribution, compute_metrics, confusion_matrix
-from opinionlab.data import Post
+from opinionlab.metrics import compute_metrics, confusion_matrix
 
 
 def brute_force_metrics(true_labels, pred_labels, num_classes, include_empty=False):
@@ -107,10 +106,3 @@ class TestComputeMetrics:
         got = compute_metrics([0, 1], [0, 1], 2)
         assert type(got.accuracy) is float
         assert type(got.macro_f1) is float
-
-
-class TestClassDistribution:
-    def test_window_filter(self):
-        posts = [Post(0, 0.0, 1), Post(0, 1.0, 2), Post(0, 2.0, 2), Post(0, 3.0, 4)]
-        counts = class_distribution(posts, 1.0, 2.0, 5)
-        np.testing.assert_array_equal(counts, [0, 0, 2, 0, 0])

@@ -1,6 +1,8 @@
 """ODE residuals, Gumbel-Softmax relaxation, losses, and training loop."""
 
 import gc
+import json
+import re
 import weakref
 
 import numpy as np
@@ -480,6 +482,31 @@ class TestPredictAndCheckpoint:
             users, times = ds.users(), ds.times()
             np.testing.assert_allclose(loaded.predict_proba(users, times),
                                        m.predict_proba(users, times), atol=1e-12)
+
+    @pytest.mark.parametrize("variant, edit, field", [
+        pytest.param("sbcm", lambda d: d.update(num_users=6), "fnn.weights", id="num_users"),
+        pytest.param("sbcm", lambda d: d.update(num_classes=4), "head_w", id="num_classes"),
+        pytest.param("sbcm", lambda d: d["head_b"].append(0.0), "head_b", id="head_b"),
+        pytest.param("sbcm", lambda d: d["config"].update(embed_dim=5), "context", id="embed_dim"),
+        pytest.param("sbcm", lambda d: d["config"].update(width=4), "fnn.weights", id="width"),
+        pytest.param("sbcm", lambda d: d["config"].update(num_layers=2), "fnn.weights", id="num_layers"),
+        pytest.param("sbcm", lambda d: d["fnn"]["biases"][0].append(0.0), "fnn.biases", id="fnn_bias"),
+        pytest.param("sbcm", lambda d: d["ode"].update(rho=[0.0, 1.0]), "ode.rho", id="rho"),
+        pytest.param("degroot", lambda d: d["config"].update(latent_dim=3), "ode.m_factors", id="latent_dim"),
+        pytest.param("degroot", lambda d: d["ode"]["q_factors"].pop(), "ode.q_factors", id="q_factors"),
+        pytest.param("fj", lambda d: d["ode"]["raw_s"].pop(), "ode.raw_s", id="raw_s"),
+        pytest.param("fj", lambda d: d["ode"]["innate"].append(0.0), "ode.innate", id="innate"),
+        pytest.param("bcm", lambda d: d["ode"].update(raw_gamma=[1.0]), "ode.raw_gamma", id="raw_gamma"),
+    ])
+    def test_load_rejects_shape_mismatch(self, tmp_path, variant, edit, field):
+        cfg = TrainConfig(variant=variant, num_layers=1, width=3, embed_dim=4, seed=0)
+        path = tmp_path / "checkpoint.json"
+        save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+            load_model(path, tiny_profiles())
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):
         ds = tiny_dataset()

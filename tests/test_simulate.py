@@ -5,6 +5,7 @@ import pytest
 
 from opinionlab import simulate
 from opinionlab.autodiff import Tensor
+from opinionlab.data import Post, discretize_opinion
 from opinionlab.simulate import (
     InteractionLog,
     SbcmGenConfig,
@@ -214,6 +215,21 @@ class TestGenerator:
         _, _, traj = generate_sbcm_dataset(cfg)
         assert traj.min() >= 0.0
         assert traj.max() <= 1.0
+
+    @pytest.mark.parametrize("num_classes", [3, 5])
+    def test_dataset_matches_per_post_loop(self, num_classes):
+        """The dataset holds the posts, in order and with Python-int labels,
+        that discretizing each opinion on its own gives."""
+        edges = [-1.5, -1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0, 1.5, np.nan]
+        rng = np.random.default_rng(4)
+        traj = np.concatenate([np.tile(edges, (3, 1)), rng.uniform(-1.2, 1.2, (3, 10))])
+        with np.errstate(invalid="ignore"):
+            expected = [Post(u, float(t), discretize_opinion(traj[u, t], num_classes))
+                        for t in range(traj.shape[1]) for u in range(traj.shape[0])]
+            ds = simulate.trajectory_to_dataset(traj, num_classes)
+        assert ds.posts == tuple(expected)
+        assert all(type(p.label) is int for p in ds.posts)
+        assert (ds.num_users, ds.num_classes, ds.horizon) == (6, num_classes, 10.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
