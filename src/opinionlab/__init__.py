@@ -5,7 +5,6 @@ from .autodiff import Adam, Tensor
 from .data import (
     DatasetError,
     OpinionDataset,
-    Post,
     ProfileCorpus,
     SplitSpec,
     chronological_split,
@@ -42,7 +41,6 @@ __all__ = [
     "Tensor",
     "DatasetError",
     "OpinionDataset",
-    "Post",
     "ProfileCorpus",
     "SplitSpec",
     "chronological_split",

@@ -337,10 +337,6 @@ class Tensor:
         return out
 
 
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 

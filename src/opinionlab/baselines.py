@@ -54,11 +54,13 @@ class AslmFit:
 
 
 def default_grid_dt(dataset: OpinionDataset) -> float:
-    """Median gap between consecutive post times (1.0 if degenerate)."""
+    """Median gap between consecutive post times (1.0 if degenerate), but at
+    most four grid steps per post: near-coincident times would otherwise ask
+    for a grid of billions of steps."""
     times = dataset.times()
     gaps = np.diff(times)
     gaps = gaps[gaps > 0]
-    return float(np.median(gaps)) if gaps.size else 1.0
+    return float(max(np.median(gaps), (times[-1] - times[0]) / (4 * len(times)))) if gaps.size else 1.0
 
 
 def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> RegularSeries:
@@ -96,23 +98,22 @@ def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> 
 # ----- voter ---------------------------------------------------------------------
 
 
-def voter_predict(train: OpinionDataset, test_posts, repeats: int = 10, seed: int = 0,
-                  grid_dt: float | None = None) -> np.ndarray:
-    """Simulate uniform-random opinion copying forward from the train end.
+def voter_predict(series: RegularSeries, test: OpinionDataset, repeats: int = 10,
+                  seed: int = 0) -> np.ndarray:
+    """Simulate uniform-random opinion copying forward from the end of the
+    train series to each test post.
 
     Returns an (repeats, n_test) array of predicted labels; callers score
     each run and average the metrics.
     """
-    series = regularize_series(train, grid_dt)
     x_end = series.values[:, -1]
-    num_users = train.num_users
+    num_users = x_end.shape[0]
     rng = np.random.default_rng(seed)
-    test_times = np.array([p.time for p in test_posts])
-    test_users = np.array([p.user_id for p in test_posts], dtype=int)
+    test_times, test_users = test.times(), test.users()
     horizon_steps = int(np.ceil((test_times.max(initial=series.t_end) - series.t_end) / series.dt))
     steps = np.clip(np.round((test_times - series.t_end) / series.dt).astype(int), 0, horizon_steps)
 
-    preds = np.zeros((repeats, len(test_posts)), dtype=int)
+    preds = np.zeros((repeats, len(test)), dtype=int)
     for r in range(repeats):
         states = np.empty((horizon_steps + 1, num_users))
         states[0] = x_end
@@ -120,7 +121,7 @@ def voter_predict(train: OpinionDataset, test_posts, repeats: int = 10, seed: in
         for k in range(1, horizon_steps + 1):
             x = x[rng.integers(0, num_users, size=num_users)]
             states[k] = x
-        preds[r] = discretize_opinion(states[steps, test_users], train.num_classes)
+        preds[r] = discretize_opinion(states[steps, test_users], test.num_classes)
     return preds
 
 
@@ -167,21 +168,20 @@ def _integrate_linear(a: np.ndarray, x0: np.ndarray, t_span: float, step: float)
     return x
 
 
-def degroot_predict(fit: DegrootFit, test_posts, num_classes: int) -> np.ndarray:
+def degroot_predict(fit: DegrootFit, test: OpinionDataset) -> np.ndarray:
     """Integrate the fitted linear system to each distinct test time, in
-    time order, and discretize every post at that time."""
-    times = np.array([p.time for p in test_posts])
-    users = np.array([p.user_id for p in test_posts], dtype=int)
-    order = np.argsort(times, kind="stable")
-    group_times, starts = np.unique(times[order], return_index=True)
-    preds = np.zeros(len(test_posts), dtype=int)
+    time order, and discretize the posts at that time (a run of the sorted
+    test posts)."""
+    users = test.users()
+    group_times, starts = np.unique(test.times(), return_index=True)
+    preds = np.zeros(len(test), dtype=int)
     x = fit.x_end.copy()
     t = fit.t_end
     step = fit.grid_dt / 4.0
-    for t_next, group in zip(group_times, np.split(order, starts[1:])):
+    for t_next, start, stop in zip(group_times, starts, [*starts[1:], len(test)]):
         x = _integrate_linear(fit.interaction, x, t_next - t, step)
         t = max(t, t_next)
-        preds[group] = discretize_opinion(x[users[group]], num_classes)
+        preds[start:stop] = discretize_opinion(x[users[start:stop]], test.num_classes)
     return preds
 
 
@@ -212,14 +212,13 @@ def aslm_step(fit: AslmFit, x: np.ndarray) -> np.ndarray:
     return fit.weights @ x + fit.bias
 
 
-def aslm_predict(fit: AslmFit, test_posts, num_classes: int) -> np.ndarray:
+def aslm_predict(fit: AslmFit, test: OpinionDataset) -> np.ndarray:
     """Iterate the one-step map to each test time and discretize."""
-    times = np.array([p.time for p in test_posts])
+    times = test.times()
     max_steps = int(np.ceil((times.max(initial=fit.t_end) - fit.t_end) / fit.grid_dt))
     states = np.empty((max_steps + 1, fit.x_end.shape[0]))
     states[0] = fit.x_end
     for k in range(1, max_steps + 1):
         states[k] = aslm_step(fit, states[k - 1])
-    users = np.array([p.user_id for p in test_posts], dtype=int)
     steps = np.clip(np.round((times - fit.t_end) / fit.grid_dt).astype(int), 0, max_steps)
-    return discretize_opinion(states[steps, users], num_classes)
+    return discretize_opinion(states[steps, test.users()], test.num_classes)

@@ -206,8 +206,8 @@ def cmd_baseline(args) -> int:
     summary = {}
     for method, res in results.items():
         summary[method] = {"acc": res["acc"], "f1": res["f1"]}
-        harness.save_predictions_csv(test_ds.posts, test_ds.labels(), res["predictions"],
-                                     method, out / f"predictions_{method}.csv")
+        harness.save_predictions_csv(test_ds, res["predictions"], method,
+                                     out / f"predictions_{method}.csv")
     _write_json(out / "metrics.json", summary)
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -8,7 +8,10 @@ discretize(label_to_continuous(c)) == c for every class.
 
 from __future__ import annotations
 
+import copy
 import json
+import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,56 +26,64 @@ class DatasetError(ValueError):
     """Malformed dataset file or record."""
 
 
-@dataclass(frozen=True)
-class Post:
-    """One labeled observation: user `user_id` posted opinion class `label` at `time`."""
-
-    user_id: int
-    time: float
-    label: int
-
-    def __post_init__(self):
-        if self.time < 0:
-            raise ValueError(f"negative post time {self.time}")
-        if self.label < 0:
-            raise ValueError(f"negative label {self.label}")
-        if self.user_id < 0:
-            raise ValueError(f"negative user id {self.user_id}")
-
-
-@dataclass(frozen=True)
 class OpinionDataset:
-    """Time-ordered post collection with its population and label space."""
+    """Time-ordered posts as three read-only columns: post i is user
+    ``users()[i]`` posting class ``labels()[i]`` at ``times()[i]``."""
 
-    posts: tuple[Post, ...]
-    num_users: int
-    num_classes: int
-    horizon: float
+    __slots__ = ("_users", "_times", "_labels", "num_users", "num_classes", "horizon")
 
-    def __post_init__(self):
-        times = [p.time for p in self.posts]
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise ValueError("posts must be sorted by time")
-        for p in self.posts:
-            if p.user_id >= self.num_users:
-                raise ValueError(f"user id {p.user_id} >= num_users {self.num_users}")
-            if p.label >= self.num_classes:
-                raise ValueError(f"label {p.label} >= num_classes {self.num_classes}")
+    def __init__(self, users, times, labels, num_users: int, num_classes: int, horizon: float):
+        users, labels = _column(users, np.int64, "user ids"), _column(labels, np.int64, "labels")
+        times = _column(times, np.float64, "post times")
+        if not users.shape == times.shape == labels.shape:
+            raise ValueError("user, time and label columns differ in length")
+        for bad, values, message in (
+                (~np.isfinite(times), times, "non-finite post time {}"),
+                (times < 0, times, "negative post time {}"),
+                (labels < 0, labels, "negative label {}"),
+                (users < 0, users, "negative user id {}"),
+                (times[1:] < times[:-1], times[1:], "posts must be sorted by time"),
+                (users >= num_users, users, f"user id {{}} >= num_users {num_users}"),
+                (labels >= num_classes, labels, f"label {{}} >= num_classes {num_classes}")):
+            if bad.any():
+                raise ValueError(message.format(values[bad.argmax()]))
+        if not (np.isfinite(horizon) and horizon >= 0):
+            raise ValueError(f"horizon {horizon} is not a finite non-negative number")
+        self._users, self._times, self._labels = users, times, labels
+        self.num_users, self.num_classes = operator.index(num_users), operator.index(num_classes)
+        self.horizon = float(horizon)
+
+    def _slice(self, start: int, stop: int) -> "OpinionDataset":
+        """Posts start..stop-1, not validated again: a run of valid sorted posts is one."""
+        part = copy.copy(self)
+        part._users, part._times, part._labels = (
+            c[start:stop] for c in (self._users, self._times, self._labels))
+        return part
 
     def __len__(self):
-        return len(self.posts)
+        return len(self._times)
 
     def users(self) -> np.ndarray:
-        return np.array([p.user_id for p in self.posts], dtype=int)
+        return self._users
 
     def times(self) -> np.ndarray:
-        return np.array([p.time for p in self.posts])
+        return self._times
 
     def labels(self) -> np.ndarray:
-        return np.array([p.label for p in self.posts], dtype=int)
+        return self._labels
 
-    def replace_posts(self, posts) -> "OpinionDataset":
-        return OpinionDataset(tuple(posts), self.num_users, self.num_classes, self.horizon)
+
+def _column(values, dtype, name: str) -> np.ndarray:
+    """A read-only one-dimensional copy of `values`, refusing other kinds of
+    value: floats in an integer column, strings or booleans in any."""
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    if values.size and values.dtype.kind not in ("iu" if dtype is np.int64 else "iuf"):
+        raise ValueError(f"{name} must be {np.dtype(dtype).name} values, not {values.dtype}")
+    column = values.astype(dtype)
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -134,12 +145,8 @@ def chronological_split(dataset: OpinionDataset, spec: SplitSpec):
         raise DatasetError("cannot split an empty dataset")
     n_train = int(np.floor(n * spec.train_frac))
     n_val = int(np.floor(n * spec.val_frac))
-    parts = (
-        dataset.posts[:n_train],
-        dataset.posts[n_train : n_train + n_val],
-        dataset.posts[n_train + n_val :],
-    )
-    return tuple(dataset.replace_posts(p) for p in parts)
+    bounds = (0, n_train, n_train + n_val, n)
+    return tuple(dataset._slice(a, b) for a, b in zip(bounds, bounds[1:]))
 
 
 # ----- file IO ----------------------------------------------------------------
@@ -157,12 +164,27 @@ def save_dataset(dataset: OpinionDataset, path):
             "horizon": dataset.horizon,
         }
         fh.write(json.dumps({"meta": meta}) + "\n")
-        for p in dataset.posts:
-            fh.write(json.dumps({"user": p.user_id, "time": p.time, "label": p.label}) + "\n")
+        columns = (dataset.users().tolist(), dataset.times().tolist(), dataset.labels().tolist())
+        for user, time, label in zip(*columns):
+            fh.write(json.dumps({"user": user, "time": time, "label": label}) + "\n")
+
+
+def _field(record: dict, key: str, where: str, integer: bool):
+    """record[key] as a non-negative int64 (`integer`) or finite float."""
+    value = record.get(key)
+    if integer and type(value) is int and 0 <= value < 2**63:
+        return value
+    if not integer and type(value) in (int, float) and 0 <= value <= sys.float_info.max:
+        return float(value)
+    kind = "a non-negative 64-bit integer" if integer else "a finite non-negative number"
+    raise DatasetError(f"{where}: {key!r} must be {kind}, got {value!r}")
 
 
 def load_dataset(path) -> OpinionDataset:
-    """Read a JSONL dataset; unsorted times are sorted with a warning."""
+    """Read a JSONL dataset; unsorted times are sorted with a warning.
+
+    A malformed line raises DatasetError naming the line.
+    """
     meta = None
     posts = []
     with open(path, encoding="utf-8") as fh:
@@ -170,46 +192,38 @@ def load_dataset(path) -> OpinionDataset:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON ({err.msg})") from err
+            except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
+                raise DatasetError(f"{where}: invalid JSON ({getattr(err, 'msg', err)})") from err
+            if not isinstance(record, dict):
+                raise DatasetError(f"{where}: expected a JSON object, got {record!r}")
             if "meta" in record:
-                if lineno != 1:
-                    raise DatasetError(f"{path}: line {lineno}: meta must be the first line")
-                meta = record["meta"]
+                if lineno != 1 or not isinstance(record["meta"], dict):
+                    raise DatasetError(f"{where}: meta must be a JSON object on the first line")
+                meta = [_field(record["meta"], key, where, integer=key != "horizon")
+                        for key in ("num_users", "num_classes", "horizon")]
                 continue
-            try:
-                post = Post(int(record["user"]), float(record["time"]), int(record["label"]))
-            except (KeyError, TypeError, ValueError) as err:
-                raise DatasetError(f"{path}: line {lineno}: bad record ({err})") from err
+            user, time, label = (_field(record, key, where, integer=key != "time")
+                                 for key in ("user", "time", "label"))
             if meta is not None:
-                if post.label >= int(meta["num_classes"]):
-                    raise DatasetError(
-                        f"{path}: line {lineno}: label {post.label} >= num_classes {meta['num_classes']}"
-                    )
-                if post.user_id >= int(meta["num_users"]):
-                    raise DatasetError(
-                        f"{path}: line {lineno}: user {post.user_id} >= num_users {meta['num_users']}"
-                    )
-            posts.append(post)
+                if label >= meta[1]:
+                    raise DatasetError(f"{where}: label {label} >= num_classes {meta[1]}")
+                if user >= meta[0]:
+                    raise DatasetError(f"{where}: user {user} >= num_users {meta[0]}")
+            posts.append((user, time, label))
     if not posts:
         raise DatasetError(f"{path}: no posts found")
 
-    times = [p.time for p in posts]
-    if any(a > b for a, b in zip(times, times[1:])):
+    users, times, labels = map(np.array, zip(*posts))  # int64, float64, int64
+    if np.any(times[1:] < times[:-1]):
         warnings.warn(f"{path}: posts not sorted by time; sorting", stacklevel=2)
-        posts.sort(key=lambda p: p.time)
-
-    if meta is not None:
-        num_users = int(meta["num_users"])
-        num_classes = int(meta["num_classes"])
-        horizon = float(meta["horizon"])
-    else:
-        num_users = max(p.user_id for p in posts) + 1
-        num_classes = max(p.label for p in posts) + 1
-        horizon = max(p.time for p in posts)
-    return OpinionDataset(tuple(posts), num_users, num_classes, horizon)
+        order = np.argsort(times, kind="stable")
+        users, times, labels = users[order], times[order], labels[order]
+    if meta is None:
+        meta = (int(users.max()) + 1, int(labels.max()) + 1, float(times[-1]))
+    return OpinionDataset(users, times, labels, *meta)
 
 
 def save_profiles(corpus: ProfileCorpus, path):

@@ -169,15 +169,11 @@ def gradient_check(variant: str = "sbcm", seed: int = 0, epsilon: float = 1e-6):
     frozen collocation times and noise, and compares every coordinate of
     every parameter.  Returns {group: max relative error}.
     """
-    from .data import OpinionDataset, Post, ProfileCorpus
-
     rng = np.random.default_rng(seed)
     num_users, num_classes = 4, 3
-    posts = tuple(
-        Post(u, float(t), int(rng.integers(0, num_classes)))
-        for t in range(6) for u in range(num_users)
-    )
-    train_ds = OpinionDataset(posts, num_users, num_classes, 6.0)
+    labels = [int(rng.integers(0, num_classes)) for _ in range(6 * num_users)]
+    train_ds = OpinionDataset(np.tile(np.arange(num_users), 6), np.repeat(np.arange(6.0), num_users),
+                              labels, num_users, num_classes, 6.0)
     profiles = ProfileCorpus({u: f"user {u} talks about topic {u % 2}" for u in range(num_users)})
     config = TrainConfig(variant=variant, num_layers=2, width=5, latent_dim=2,
                          alpha=0.7, beta=0.3, collocation=2, seed=seed, embed_dim=6)
@@ -262,33 +258,24 @@ def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods,
                   seed: int = 0, voter_repeats: int = 10):
     """Score the named baselines on the test posts.
 
-    Returns {method: {"acc", "f1", "predictions"}}; voter metrics are the
-    mean over its repeated runs and its predictions are the first run's.
+    Returns {method: {"acc", "f1", "predictions"}}: the metrics' mean over
+    the method's runs (voter repeats; one run otherwise) and the first run's
+    predictions.  The train series is regularized once for all methods.
     """
     out = {}
-    test_posts = list(test_ds.posts)
-    true_labels = test_ds.labels()
+    series = baselines.regularize_series(train_ds)
     for method in methods:
         if method == "voter":
-            preds = baselines.voter_predict(train_ds, test_posts, repeats=voter_repeats, seed=seed)
-            scores = [compute_metrics(true_labels, p, test_ds.num_classes) for p in preds]
-            out[method] = {
-                "acc": float(np.mean([s.accuracy for s in scores])),
-                "f1": float(np.mean([s.macro_f1 for s in scores])),
-                "predictions": preds[0],
-            }
-            continue
-        series = baselines.regularize_series(train_ds)
-        if method == "degroot":
-            fit = baselines.fit_degroot(series)
-            preds = baselines.degroot_predict(fit, test_posts, test_ds.num_classes)
+            runs = baselines.voter_predict(series, test_ds, repeats=voter_repeats, seed=seed)
+        elif method == "degroot":
+            runs = [baselines.degroot_predict(baselines.fit_degroot(series), test_ds)]
         elif method == "aslm":
-            fit = baselines.fit_aslm(series)
-            preds = baselines.aslm_predict(fit, test_posts, test_ds.num_classes)
+            runs = [baselines.aslm_predict(baselines.fit_aslm(series), test_ds)]
         else:
             raise ValueError(f"unknown baseline {method!r}")
-        m = compute_metrics(true_labels, preds, test_ds.num_classes)
-        out[method] = {"acc": m.accuracy, "f1": m.macro_f1, "predictions": preds}
+        scores = [compute_metrics(test_ds.labels(), p, test_ds.num_classes) for p in runs]
+        out[method] = {"acc": float(np.mean([s.accuracy for s in scores])),
+                       "f1": float(np.mean([s.macro_f1 for s in scores])), "predictions": runs[0]}
     return out
 
 
@@ -306,9 +293,11 @@ def comparison_table(rows: dict) -> list[list[str]]:
     return table
 
 
-def save_predictions_csv(test_posts, true_labels, pred_labels, method: str, path):
+def save_predictions_csv(test_ds: OpinionDataset, pred_labels, method: str, path):
+    columns = (test_ds.users().tolist(), test_ds.times().tolist(), test_ds.labels().tolist(),
+               np.asarray(pred_labels).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "time", "true_label", "pred_label", "method"])
-        for post, t, p in zip(test_posts, true_labels, pred_labels):
-            writer.writerow([post.user_id, repr(post.time), int(t), int(p), method])
+        for user, time, true, pred in zip(*columns):
+            writer.writerow([user, repr(time), true, pred, method])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import autodiff as ad
-from .data import OpinionDataset, Post, discretize_opinion
+from .data import OpinionDataset, discretize_opinion
 
 DISTANCE_EPS = 1e-6
 
@@ -131,8 +131,12 @@ def step_sbcm(state: SimState, config: SbcmGenConfig, log: InteractionLog | None
     rng = state.rng
     initiators = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
     for u in initiators:
-        probs = sbcm_partner_probs(x, int(u), config.rho)
-        v = int(rng.choice(config.num_users, p=probs))
+        # rng.choice(num_users, p=probs)'s own draw, without its argument checks.
+        cdf = sbcm_partner_probs(x, int(u), config.rho).cumsum()
+        if not np.isfinite(cdf[-1]):
+            raise ValueError(f"non-finite partner probabilities (rho={config.rho})")
+        cdf /= cdf[-1]
+        v = int(cdf.searchsorted(rng.random(), side="right"))
         if log is not None:
             log.add(state.step, int(u), v)
         if config.update_rule == "attractive":
@@ -178,10 +182,10 @@ def step_voter(state: SimState) -> SimState:
 def trajectory_to_dataset(trajectory: np.ndarray, num_classes: int = 5) -> OpinionDataset:
     """One post per user per step; label = discretized opinion, time = step."""
     num_users, num_steps = trajectory.shape
-    labels = discretize_opinion(trajectory, num_classes).T.tolist()
-    posts = tuple(Post(u, float(t), label)
-                  for t, row in enumerate(labels) for u, label in enumerate(row))
-    return OpinionDataset(posts, num_users, num_classes, float(num_steps))
+    labels = discretize_opinion(trajectory, num_classes).T.reshape(-1)
+    users = np.tile(np.arange(num_users), num_steps)
+    times = np.repeat(np.arange(num_steps, dtype=float), num_users)
+    return OpinionDataset(users, times, labels, num_users, num_classes, float(num_steps))
 
 
 def generate_sbcm_dataset(config: SbcmGenConfig):

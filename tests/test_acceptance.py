@@ -13,7 +13,6 @@ from opinionlab import baselines, model as model_mod, network, simulate
 from opinionlab.cli import main as cli_main
 from opinionlab.data import (
     OpinionDataset,
-    Post,
     ProfileCorpus,
     SplitSpec,
     chronological_split,
@@ -32,12 +31,18 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def random_posts(rng, num_users, num_classes, n, horizon):
+def random_dataset(rng, num_users, num_classes, n, horizon):
     times = np.sort(rng.uniform(0, horizon, size=n))
-    return tuple(
-        Post(int(rng.integers(0, num_users)), float(t), int(rng.integers(0, num_classes)))
-        for t in times
-    )
+    posts = [(int(rng.integers(0, num_users)), float(t), int(rng.integers(0, num_classes)))
+             for t in times]
+    return OpinionDataset(*zip(*posts), num_users, num_classes, horizon)
+
+
+def assert_same_columns(actual, expected):
+    for a, e in zip((actual.users(), actual.times(), actual.labels()),
+                    (expected.users(), expected.times(), expected.labels())):
+        assert a.dtype == e.dtype
+        np.testing.assert_array_equal(a, e)
 
 
 def test_criterion_1_gradient_correctness():
@@ -50,8 +55,7 @@ def test_criterion_1_gradient_correctness():
     for case in range(100):
         variant = ("degroot", "fj", "bcm", "sbcm")[case % 4]
         rng = np.random.default_rng(1000 + case)
-        ds = OpinionDataset(random_posts(rng, num_users, num_classes, 20, horizon),
-                            num_users, num_classes, horizon)
+        ds = random_dataset(rng, num_users, num_classes, 20, horizon)
         cfg = TrainConfig(variant=variant, num_layers=3, width=8, latent_dim=2,
                           alpha=0.7, beta=0.3, collocation=2, embed_dim=8, seed=case)
         model = build_model(ds, profiles, cfg)
@@ -177,12 +181,12 @@ def test_criterion_7_baseline_self_consistency():
     np.fill_diagonal(a, 0.0)
     ds, traj = simulate.generate_degroot_dataset(num_users, 100, a, seed=7)
     splits = chronological_split(ds, SplitSpec(0.7, 0.0, 0.3))
-    train_steps = int(np.floor(splits[0].posts[-1].time)) + 1
+    train_steps = int(np.floor(splits[0].times()[-1])) + 1
     series = baselines.RegularSeries(traj[:, :train_steps], t_start=0.0, dt=1.0)
     fit = baselines.fit_degroot(series)
     max_err = np.abs(fit.interaction - a).max()
     assert max_err < 0.05, f"interaction matrix error {max_err}"
-    preds = baselines.degroot_predict(fit, list(splits[2].posts), 5)
+    preds = baselines.degroot_predict(fit, splits[2])
     acc = float((preds == splits[2].labels()).mean())
     assert acc > 0.9, f"test accuracy {acc}"
 
@@ -228,16 +232,20 @@ def test_criterion_9_round_trip_and_split_invariants(tmp_path):
         num_users = int(rng.integers(1, 6))
         num_classes = int(rng.integers(2, 6))
         n = int(rng.integers(1, 50))
-        posts = random_posts(rng, num_users, num_classes, n, 50.0)
-        ds = OpinionDataset(posts, num_users, num_classes, 50.0)
+        ds = random_dataset(rng, num_users, num_classes, n, 50.0)
         fr = rng.dirichlet([1.0, 1.0, 1.0])
         parts = chronological_split(ds, SplitSpec(fr[0], fr[1], 1.0 - fr[0] - fr[1]))
-        assert parts[0].posts + parts[1].posts + parts[2].posts == ds.posts
+        for whole, *pieces in zip(*((d.users(), d.times(), d.labels()) for d in (ds, *parts))):
+            recombined = np.concatenate(pieces)
+            assert recombined.dtype == whole.dtype
+            np.testing.assert_array_equal(recombined, whole)
 
-    ds = OpinionDataset(random_posts(rng, 5, 5, 40, 20.0), 5, 5, 20.0)
+    ds = random_dataset(rng, 5, 5, 40, 20.0)
     path = tmp_path / "ds.jsonl"
     save_dataset(ds, path)
-    assert load_dataset(path) == ds
+    loaded = load_dataset(path)
+    assert_same_columns(loaded, ds)
+    assert (loaded.num_users, loaded.num_classes, loaded.horizon) == (5, 5, 20.0)
     report("criterion 9 (round-trip and split invariants, 1000 datasets)", True)
 
 
@@ -297,7 +305,8 @@ def test_criterion_6_ode_loss_trainability():
     test = splits[2]
     preds = model.predict_proba(test.users(), test.times()).argmax(axis=1)
     model_f1 = compute_metrics(test.labels(), preds, 5).macro_f1
-    voter = baselines.voter_predict(splits[0], list(test.posts), repeats=10, seed=0)
+    voter = baselines.voter_predict(baselines.regularize_series(splits[0]), test, repeats=10,
+                                    seed=0)
     voter_f1 = float(np.mean([compute_metrics(test.labels(), p, 5).macro_f1 for p in voter]))
     report("criterion 6 (ODE-residual trainability beats copying baseline)",
            drop >= 10.0 and model_f1 > voter_f1,

@@ -1,5 +1,7 @@
 """Voter, linear-influence, and one-step linear regression baselines."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +18,20 @@ from opinionlab.baselines import (
     regularize_series,
     voter_predict,
 )
-from opinionlab.data import OpinionDataset, Post, discretize_opinion, label_to_continuous
+from opinionlab.data import OpinionDataset, discretize_opinion, label_to_continuous
+
+# One post, as the reference loops below walk them.
+Post = namedtuple("Post", "user_id time label")
 
 
 def make_dataset(posts, num_users, num_classes=5):
-    horizon = max(p.time for p in posts) + 1
-    return OpinionDataset(tuple(posts), num_users, num_classes, horizon)
+    users, times, labels = zip(*posts)
+    return OpinionDataset(users, times, labels, num_users, num_classes, max(times) + 1)
+
+
+def posts_of(dataset):
+    columns = (dataset.users().tolist(), dataset.times().tolist(), dataset.labels().tolist())
+    return [Post(*post) for post in zip(*columns)]
 
 
 # ----- per-post reference loops ------------------------------------------------
@@ -41,7 +51,7 @@ def regularize_series_loop(dataset, grid_dt=None):
     seen = np.zeros(dataset.num_users, dtype=bool)
     last_value = np.zeros(dataset.num_users)
     last_index = np.zeros(dataset.num_users, dtype=int)
-    for post in dataset.posts:
+    for post in posts_of(dataset):
         value = label_to_continuous(post.label, dataset.num_classes)
         idx = max(int(np.searchsorted(grid, post.time + 1e-12) - 1), 0)
         u = post.user_id
@@ -137,7 +147,7 @@ class TestArrayFormsMatchLoops:
         posts = [Post(data.draw(st.integers(0, num_users - 1)), t,
                       data.draw(st.integers(0, num_classes - 1))) for t in times]
         grid_dt = data.draw(st.one_of(st.none(), st.floats(0.15, 4.0)), label="grid_dt")
-        dataset = OpinionDataset(tuple(posts), num_users, num_classes, times[-1] + 1.0)
+        dataset = make_dataset(posts, num_users, num_classes)
         assert_series_equal(regularize_series(dataset, grid_dt),
                             regularize_series_loop(dataset, grid_dt))
 
@@ -145,16 +155,19 @@ class TestArrayFormsMatchLoops:
     def test_voter_same_seed(self, seed):
         rng = np.random.default_rng(seed)
         train = make_dataset(random_posts(rng, 7, 20), 7)
-        test_posts = list(rng.permutation(random_posts(rng, 7, 10, t0=21.0)))
-        np.testing.assert_array_equal(voter_predict(train, test_posts, repeats=4, seed=seed),
+        test_posts = random_posts(rng, 7, 10, t0=21.0)
+        preds = voter_predict(regularize_series(train), make_dataset(test_posts, 7), repeats=4,
+                              seed=seed)
+        np.testing.assert_array_equal(preds,
                                       voter_predict_loop(train, test_posts, repeats=4, seed=seed))
 
-    def test_degroot_repeated_unsorted_times(self):
+    def test_degroot_repeated_times(self):
+        """Several test posts per time, some before the end of training."""
         rng = np.random.default_rng(5)
         series = regularize_series(make_dataset(random_posts(rng, 6, 30), 6))
         fit = fit_degroot(series)
-        test_posts = list(rng.permutation(random_posts(rng, 6, 12, t0=series.t_end - 2.0)))
-        preds = degroot_predict(fit, test_posts, 5)
+        test_posts = random_posts(rng, 6, 12, t0=series.t_end - 2.0)
+        preds = degroot_predict(fit, make_dataset(test_posts, 6))
         assert preds.dtype == np.int64
         np.testing.assert_array_equal(preds, degroot_predict_loop(fit, test_posts, 5))
 
@@ -163,10 +176,10 @@ class TestArrayFormsMatchLoops:
         in both forms."""
         a = np.array([[0.0, 40.0, -40.0], [-40.0, 0.0, 40.0], [40.0, -40.0, 0.0]])
         fit = baselines.DegrootFit(a, np.array([0.5, -0.2, 0.9]), 0.0, 1.0)
-        test_posts = [Post(u, t, 0) for t in (31.0, 30.0, 31.0, 30.0) for u in range(3)]
+        test_posts = [Post(u, t, 0) for t in (30.0, 30.0, 31.0, 31.0) for u in range(3)]
         with np.errstate(all="ignore"):
             assert np.isnan(baselines._integrate_linear(a, fit.x_end, 30.0, 0.25)).all()
-            preds = degroot_predict(fit, test_posts, 5)
+            preds = degroot_predict(fit, make_dataset(test_posts, 3))
             expected = degroot_predict_loop(fit, test_posts, 5)
         np.testing.assert_array_equal(preds, expected)
         np.testing.assert_array_equal(preds, 0)
@@ -174,8 +187,8 @@ class TestArrayFormsMatchLoops:
     def test_aslm(self):
         rng = np.random.default_rng(6)
         fit = fit_aslm(regularize_series(make_dataset(random_posts(rng, 5, 25), 5)))
-        test_posts = list(rng.permutation(random_posts(rng, 5, 10, t0=fit.t_end)))
-        preds = aslm_predict(fit, test_posts, 5)
+        test_posts = random_posts(rng, 5, 10, t0=fit.t_end)
+        preds = aslm_predict(fit, make_dataset(test_posts, 5))
         assert preds.dtype == np.int64
         np.testing.assert_array_equal(preds, aslm_predict_loop(fit, test_posts, 5))
 
@@ -217,6 +230,14 @@ class TestRegularize:
         posts = [Post(0, 1.0, 2), Post(1, 1.0, 3)]
         assert default_grid_dt(make_dataset(posts, 2)) == 1.0
 
+    def test_default_grid_dt_bounded_by_post_count(self):
+        """Near-coincident times make a median gap of 1e-9; the grid stays
+        at most four steps per post."""
+        posts = [Post(0, 0.0, 2), Post(1, 3e-269, 2), Post(0, 1e-9, 2), Post(1, 11.0, 2)]
+        dataset = make_dataset(posts, 2)
+        assert default_grid_dt(dataset) == 11.0 / 16
+        assert regularize_series(dataset).values.shape == (2, 17)
+
     def test_latest_post_wins_within_cell(self):
         posts = [Post(0, 0.0, 0), Post(0, 0.4, 4)]
         series = regularize_series(make_dataset(posts, 1), grid_dt=1.0)
@@ -224,7 +245,7 @@ class TestRegularize:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            regularize_series(OpinionDataset((), 1, 5, 1.0))
+            regularize_series(OpinionDataset([], [], [], 1, 5, 1.0))
 
 
 class TestDegrootFit:
@@ -254,7 +275,7 @@ class TestDegrootFit:
         # A = 0: opinions frozen at end-of-train values
         series = RegularSeries(np.array([[0.8, 0.8], [-0.8, -0.8]]), 0.0, 1.0)
         fit = baselines.DegrootFit(np.zeros((2, 2)), series.values[:, -1], 1.0, 1.0)
-        preds = degroot_predict(fit, [Post(0, 5.0, 0), Post(1, 5.0, 0)], 5)
+        preds = degroot_predict(fit, make_dataset([Post(0, 5.0, 0), Post(1, 5.0, 0)], 2))
         np.testing.assert_array_equal(preds, [4, 0])
 
     def test_needs_two_steps(self):
@@ -291,13 +312,13 @@ class TestAslmFit:
         x = fit.x_end.copy()
         for _ in range(4):
             x = aslm_step(fit, x)
-        preds = aslm_predict(fit, [Post(u, 4.0, 0) for u in range(3)], 5)
+        preds = aslm_predict(fit, make_dataset([Post(u, 4.0, 0) for u in range(3)], 3))
         from opinionlab.data import discretize_opinion
         np.testing.assert_array_equal(preds, [discretize_opinion(v) for v in x])
 
     def test_empty_test_posts(self):
         fit = baselines.AslmFit(np.eye(2), np.zeros(2), np.zeros(2), 0.0, 1.0, 1e-6)
-        assert aslm_predict(fit, [], 5).shape == (0,)
+        assert aslm_predict(fit, OpinionDataset([], [], [], 2, 5, 0.0)).shape == (0,)
 
 
 class TestVoter:
@@ -305,8 +326,9 @@ class TestVoter:
         posts = [Post(u, float(t), (u + t) % 5) for t in range(10) for u in range(4)]
         train = make_dataset(posts, 4)
         test_posts = [Post(0, 12.0, 2), Post(3, 14.0, 1)]
-        a = voter_predict(train, test_posts, repeats=5, seed=42)
-        b = voter_predict(train, test_posts, repeats=5, seed=42)
+        series, test = regularize_series(train), make_dataset(test_posts, 4)
+        a = voter_predict(series, test, repeats=5, seed=42)
+        b = voter_predict(series, test, repeats=5, seed=42)
         assert a.shape == (5, 2)
         np.testing.assert_array_equal(a, b)
 
@@ -317,20 +339,22 @@ class TestVoter:
             key=lambda p: p.time,
         )
         train = make_dataset(posts, 6)
-        test_posts = [Post(u, 30.0, 0) for u in range(6)]
-        a = voter_predict(train, test_posts, repeats=3, seed=0)
-        b = voter_predict(train, test_posts, repeats=3, seed=1)
+        series, test = regularize_series(train), make_dataset([Post(u, 30.0, 0) for u in range(6)], 6)
+        a = voter_predict(series, test, repeats=3, seed=0)
+        b = voter_predict(series, test, repeats=3, seed=1)
         assert not np.array_equal(a, b)
 
     def test_predictions_come_from_train_labels(self):
         """Copying can only ever produce opinions present at the train end."""
         posts = [Post(0, 0.0, 0), Post(1, 0.0, 4), Post(0, 1.0, 0), Post(1, 1.0, 4)]
         train = make_dataset(posts, 2)
-        preds = voter_predict(train, [Post(0, 6.0, 0), Post(1, 6.0, 0)], repeats=8, seed=0)
+        test = make_dataset([Post(0, 6.0, 0), Post(1, 6.0, 0)], 2)
+        preds = voter_predict(regularize_series(train), test, repeats=8, seed=0)
         assert set(np.unique(preds)) <= {0, 4}
 
     def test_test_time_at_train_end(self):
         posts = [Post(0, 0.0, 3), Post(0, 1.0, 3)]
         train = make_dataset(posts, 1)
-        preds = voter_predict(train, [Post(0, 1.0, 3)], repeats=2, seed=0)
+        preds = voter_predict(regularize_series(train), make_dataset([Post(0, 1.0, 3)], 1),
+                              repeats=2, seed=0)
         np.testing.assert_array_equal(preds, [[3], [3]])

@@ -7,18 +7,15 @@ import pytest
 
 from opinionlab import cli
 from opinionlab.cli import CliError, load_run_config, main, parse_axes
-from opinionlab.data import OpinionDataset, Post, ProfileCorpus, save_dataset, save_profiles
+from opinionlab.data import OpinionDataset, ProfileCorpus, save_dataset, save_profiles
 
 
 @pytest.fixture
 def workspace(tmp_path):
     """A small dataset + profiles + run config on disk."""
     rng = np.random.default_rng(0)
-    posts = tuple(
-        Post(u, float(t), int(rng.integers(0, 3)))
-        for t in range(12) for u in range(4)
-    )
-    ds = OpinionDataset(posts, 4, 3, 12.0)
+    posts = [(u, float(t), int(rng.integers(0, 3))) for t in range(12) for u in range(4)]
+    ds = OpinionDataset(*zip(*posts), 4, 3, 12.0)
     save_dataset(ds, tmp_path / "dataset.jsonl")
     save_profiles(ProfileCorpus({u: f"user number {u}" for u in range(4)}),
                   tmp_path / "profiles.json")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from opinionlab import harness
-from opinionlab.data import OpinionDataset, Post, ProfileCorpus, SplitSpec, chronological_split
+from opinionlab.data import OpinionDataset, ProfileCorpus, SplitSpec, chronological_split
 from opinionlab.harness import (
     CellResult,
     GridSpec,
@@ -23,11 +23,8 @@ from opinionlab.model import TrainConfig
 
 def tiny_splits(num_users=4, num_steps=10, seed=0):
     rng = np.random.default_rng(seed)
-    posts = tuple(
-        Post(u, float(t), int(rng.integers(0, 3)))
-        for t in range(num_steps) for u in range(num_users)
-    )
-    ds = OpinionDataset(posts, num_users, 3, float(num_steps))
+    posts = [(u, float(t), int(rng.integers(0, 3))) for t in range(num_steps) for u in range(num_users)]
+    ds = OpinionDataset(*zip(*posts), num_users, 3, float(num_steps))
     return chronological_split(ds, SplitSpec(0.5, 0.2, 0.3))
 
 

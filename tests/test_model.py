@@ -10,7 +10,7 @@ import pytest
 
 from opinionlab import model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
-from opinionlab.data import OpinionDataset, Post, ProfileCorpus, chronological_split, SplitSpec
+from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
 from opinionlab.model import (
     OdeParams,
     TrainConfig,
@@ -40,11 +40,9 @@ from opinionlab.model import (
 
 def tiny_dataset(num_users=4, num_steps=6, num_classes=3, seed=0):
     rng = np.random.default_rng(seed)
-    posts = tuple(
-        Post(u, float(t), int(rng.integers(0, num_classes)))
-        for t in range(num_steps) for u in range(num_users)
-    )
-    return OpinionDataset(posts, num_users, num_classes, float(num_steps))
+    posts = [(u, float(t), int(rng.integers(0, num_classes)))
+             for t in range(num_steps) for u in range(num_users)]
+    return OpinionDataset(*zip(*posts), num_users, num_classes, float(num_steps))
 
 
 def tiny_profiles(num_users=4):
@@ -376,11 +374,8 @@ class TestEmptyCorpusSkip:
 class TestTraining:
     def test_loss_decreases_on_separable_problem(self):
         """Users with fixed opposite labels: the data loss must fall."""
-        posts = tuple(
-            Post(u, float(t), 0 if u < 2 else 2)
-            for t in range(8) for u in range(4)
-        )
-        ds = OpinionDataset(posts, 4, 3, 8.0)
+        posts = [(u, float(t), 0 if u < 2 else 2) for t in range(8) for u in range(4)]
+        ds = OpinionDataset(*zip(*posts), 4, 3, 8.0)
         splits = chronological_split(ds, SplitSpec(0.7, 0.3, 0.0))
         cfg = TrainConfig(variant="sbcm", alpha=0.5, beta=0.0, epochs=300,
                           learning_rate=0.01, num_layers=1, width=6, embed_dim=4,
@@ -517,8 +512,7 @@ class TestPredictAndCheckpoint:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_fj_innate_uses_first_train_posts(self):
-        posts = (Post(0, 0.0, 0), Post(1, 0.0, 4), Post(0, 1.0, 2), Post(1, 1.0, 2))
-        ds = OpinionDataset(posts, 2, 5, 2.0)
+        ds = OpinionDataset([0, 1, 0, 1], [0.0, 0.0, 1.0, 1.0], [0, 4, 2, 2], 2, 5, 2.0)
         m = build_model(ds, ProfileCorpus({}), TrainConfig(variant="fj", num_layers=1,
                                                            width=3, embed_dim=4, seed=0))
         np.testing.assert_allclose(m.ode.innate, [-0.8, 0.8])

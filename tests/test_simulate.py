@@ -5,7 +5,7 @@ import pytest
 
 from opinionlab import simulate
 from opinionlab.autodiff import Tensor
-from opinionlab.data import Post, discretize_opinion
+from opinionlab.data import discretize_opinion
 from opinionlab.simulate import (
     InteractionLog,
     SbcmGenConfig,
@@ -25,6 +25,35 @@ from opinionlab.simulate import (
 
 def make_state(opinions, seed=0, step=0):
     return SimState(np.asarray(opinions, dtype=float), step, np.random.default_rng(seed))
+
+
+def step_sbcm_choice(state, config, log=None):
+    """The generator step with its partner drawn by rng.choice: the oracle
+    for step_sbcm's direct inverse-CDF draw."""
+    x = state.opinions.copy()
+    rng = state.rng
+    initiators = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
+    for u in initiators:
+        v = int(rng.choice(config.num_users, p=sbcm_partner_probs(x, int(u), config.rho)))
+        if log is not None:
+            log.add(state.step, int(u), v)
+        if config.update_rule == "attractive":
+            x[u] = x[u] + config.mu * (x[v] - x[u])
+        else:
+            x[u] = x[u] + config.mu * x[v]
+    return SimState(x, state.step + 1, rng)
+
+
+def run_generator(config, step):
+    """generate_sbcm_dataset's loop with a given step function: (trajectory, log)."""
+    rng = np.random.default_rng(config.seed)
+    state = SimState(rng.uniform(*config.init_range, size=config.num_users), 0, rng)
+    log = InteractionLog()
+    trajectory = np.empty((config.num_users, config.num_steps))
+    for t in range(config.num_steps):
+        trajectory[:, t] = state.opinions
+        state = step(state, config, log)
+    return trajectory, log
 
 
 class TestPartnerProbs:
@@ -134,6 +163,28 @@ class TestSbcmStep:
             assert step == 0
             assert u != v
 
+    @pytest.mark.parametrize("preset", sorted(simulate.PRESETS))
+    @pytest.mark.parametrize("seed", [0, 1, 13])
+    def test_partner_draw_matches_rng_choice(self, preset, seed):
+        """The direct draw consumes the same stream as rng.choice: equal
+        trajectories and interaction logs, bit for bit."""
+        config = preset_config(preset, num_users=60, num_steps=80, initiators_per_step=8,
+                               seed=seed)
+        trajectory, log = run_generator(config, step_sbcm_choice)
+        _, gen_log, gen_trajectory = generate_sbcm_dataset(config)
+        np.testing.assert_array_equal(gen_trajectory, trajectory)
+        assert gen_log.entries == log.entries
+
+    def test_overflowing_rho_raises(self):
+        """rho = 1000 overflows the partner weights to inf and the
+        probabilities to NaN; the step raises as rng.choice does."""
+        config = SbcmGenConfig(num_users=10, initiators_per_step=3, rho=1000.0, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                run_generator(config, step_sbcm_choice)
+            with pytest.raises(ValueError, match="non-finite partner probabilities"):
+                generate_sbcm_dataset(config)
+
     def test_log_rejects_self_interaction(self):
         with pytest.raises(ValueError):
             InteractionLog().add(0, 3, 3)
@@ -196,16 +247,16 @@ class TestGenerator:
         cfg = SbcmGenConfig(num_users=2, num_steps=1, initiators_per_step=1, rho=0.0, seed=1)
         ds, _, traj = generate_sbcm_dataset(cfg)
         assert len(ds) == 2
-        assert all(p.time == 0.0 for p in ds.posts)
-        from opinionlab.data import discretize_opinion
-        for post in ds.posts:
-            assert post.label == discretize_opinion(traj[post.user_id, 0])
+        np.testing.assert_array_equal(ds.times(), 0.0)
+        for user, label in zip(ds.users(), ds.labels()):
+            assert label == discretize_opinion(traj[user, 0])
 
     def test_deterministic(self):
         cfg = SbcmGenConfig(num_users=15, num_steps=8, initiators_per_step=4, rho=0.5, seed=7)
         a = generate_sbcm_dataset(cfg)
         b = generate_sbcm_dataset(cfg)
-        assert a[0] == b[0]
+        for column in ("users", "times", "labels"):
+            np.testing.assert_array_equal(getattr(a[0], column)(), getattr(b[0], column)())
         np.testing.assert_array_equal(a[2], b[2])
         assert a[1].entries == b[1].entries
 
@@ -218,17 +269,19 @@ class TestGenerator:
 
     @pytest.mark.parametrize("num_classes", [3, 5])
     def test_dataset_matches_per_post_loop(self, num_classes):
-        """The dataset holds the posts, in order and with Python-int labels,
-        that discretizing each opinion on its own gives."""
+        """The dataset holds the posts, in order and with int64 labels, that
+        discretizing each opinion on its own gives."""
         edges = [-1.5, -1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0, 1.5, np.nan]
         rng = np.random.default_rng(4)
         traj = np.concatenate([np.tile(edges, (3, 1)), rng.uniform(-1.2, 1.2, (3, 10))])
         with np.errstate(invalid="ignore"):
-            expected = [Post(u, float(t), discretize_opinion(traj[u, t], num_classes))
+            expected = [(u, float(t), discretize_opinion(traj[u, t], num_classes))
                         for t in range(traj.shape[1]) for u in range(traj.shape[0])]
             ds = simulate.trajectory_to_dataset(traj, num_classes)
-        assert ds.posts == tuple(expected)
-        assert all(type(p.label) is int for p in ds.posts)
+        for column, values, dtype in zip((ds.users(), ds.times(), ds.labels()), zip(*expected),
+                                         (np.int64, np.float64, np.int64)):
+            assert column.dtype == dtype
+            np.testing.assert_array_equal(column, values)
         assert (ds.num_users, ds.num_classes, ds.horizon) == (6, num_classes, 10.0)
 
     def test_config_validation(self):
