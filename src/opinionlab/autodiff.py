@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "tensor",
     "as_tensor",
     "concat",
     "exp",

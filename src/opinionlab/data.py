@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import operator
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -232,8 +233,23 @@ def save_profiles(corpus: ProfileCorpus, path):
 
 
 def load_profiles(path) -> ProfileCorpus:
+    """Read a profile file; a malformed one raises DatasetError naming the key.
+
+    Each key must be the decimal form of a non-negative 64-bit user id and
+    each value a string.
+    """
     with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
+            raise DatasetError(f"{path}: invalid JSON ({getattr(err, 'msg', err)})") from err
     if not isinstance(raw, dict):
         raise DatasetError(f"{path}: profile file must be a JSON object")
-    return ProfileCorpus({int(k): str(v) for k, v in raw.items()})
+    descriptions = {}
+    for key, text in raw.items():
+        if not (re.fullmatch(r"0|[1-9][0-9]{0,18}", key) and int(key) < 2**63):
+            raise DatasetError(f"{path}: key {key!r} is not a non-negative 64-bit user id")
+        if not isinstance(text, str):
+            raise DatasetError(f"{path}: key {key!r}: description must be a string, got {text!r}")
+        descriptions[int(key)] = text
+    return ProfileCorpus(descriptions)

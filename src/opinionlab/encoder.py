@@ -23,16 +23,16 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 MASK_NEG = 1e9
 
+# Fallback rows that unknown tokens hash into.
+OOV_BUCKETS = 32
 
-def tokenize(text: str, stop_words: frozenset[str] | None = None) -> list[str]:
+
+def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation, split on non-word characters."""
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stop_words:
-        tokens = [t for t in tokens if t not in stop_words]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_and_pad(text: str, max_len: int = 25, stop_words: frozenset[str] | None = None):
+def tokenize_and_pad(text: str, max_len: int = 25):
     """Fixed-length token list plus a 0/1 mask of real positions.
 
     Texts longer than `max_len` are truncated at the end; shorter ones are
@@ -40,7 +40,7 @@ def tokenize_and_pad(text: str, max_len: int = 25, stop_words: frozenset[str] | 
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tokens = tokenize(text, stop_words)[:max_len]
+    tokens = tokenize(text)[:max_len]
     mask = np.zeros(max_len)
     mask[: len(tokens)] = 1.0
     return tokens + [PAD] * (max_len - len(tokens)), mask
@@ -54,10 +54,9 @@ class EmbeddingTable:
     pad token maps to the zero vector.
     """
 
-    def __init__(self, vocabulary: dict[str, int], vectors: np.ndarray, oov_buckets: int = 32):
+    def __init__(self, vocabulary: dict[str, int], vectors: np.ndarray):
         self.vocabulary = dict(vocabulary)
         self.vectors = np.asarray(vectors, dtype=float)
-        self.oov_buckets = oov_buckets
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("non-finite embedding vectors")
         if np.any(self.vectors[0] != 0.0):
@@ -68,43 +67,22 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
     @classmethod
-    def random(cls, words, dim: int = 32, seed: int = 0, oov_buckets: int = 32) -> "EmbeddingTable":
+    def random(cls, words, dim: int = 32, seed: int = 0) -> "EmbeddingTable":
         """Seeded random unit-norm vectors for `words` plus OOV buckets."""
         words = sorted(set(words) - {PAD})
         rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((1 + len(words) + oov_buckets, dim))
+        rows = rng.standard_normal((1 + len(words) + OOV_BUCKETS, dim))
         rows /= np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), 1e-12)
         rows[0] = 0.0
         vocab = {w: i + 1 for i, w in enumerate(words)}
-        return cls(vocab, rows, oov_buckets)
+        return cls(vocab, rows)
 
     @classmethod
-    def from_corpus(cls, corpus: ProfileCorpus, dim: int = 32, seed: int = 0,
-                    stop_words: frozenset[str] | None = None) -> "EmbeddingTable":
+    def from_corpus(cls, corpus: ProfileCorpus, dim: int = 32, seed: int = 0) -> "EmbeddingTable":
         words = set()
         for text in corpus.descriptions.values():
-            words.update(tokenize(text, stop_words))
+            words.update(tokenize(text))
         return cls.random(words, dim=dim, seed=seed)
-
-    @classmethod
-    def load_text(cls, path, oov_buckets: int = 32) -> "EmbeddingTable":
-        """Read `word v1 ... vb` lines; vectors are used as-is."""
-        vocab = {}
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.split()
-                if not parts:
-                    continue
-                vocab[parts[0]] = len(rows) + 1
-                rows.append([float(v) for v in parts[1:]])
-        vectors = np.asarray(rows)
-        dim = vectors.shape[1]
-        rng = np.random.default_rng(zlib.crc32(b"oov"))
-        oov = rng.standard_normal((oov_buckets, dim))
-        oov /= np.maximum(np.linalg.norm(oov, axis=1, keepdims=True), 1e-12)
-        table = np.vstack([np.zeros((1, dim)), vectors, oov])
-        return cls(vocab, table, oov_buckets)
 
     def token_id(self, token: str) -> int:
         if token == PAD:
@@ -112,7 +90,7 @@ class EmbeddingTable:
         idx = self.vocabulary.get(token)
         if idx is not None:
             return idx
-        bucket = zlib.crc32(token.encode("utf-8")) % self.oov_buckets
+        bucket = zlib.crc32(token.encode("utf-8")) % OOV_BUCKETS
         return len(self.vocabulary) + 1 + bucket
 
     def embed(self, tokens: list[str]) -> np.ndarray:
@@ -134,51 +112,39 @@ class AttentionParams:
         return [self.context]
 
 
-def attention_weights(word_vectors, mask, context, masked: bool = True):
+def attention_weights(word_vectors, mask, context):
     """Softmax attention weights over token positions.
 
     `word_vectors` is (..., N, b) and `mask` (..., N); pads are pushed out
-    of the softmax unless `masked` is False.  Works on ndarrays and on a
-    Tensor context vector.
+    of the softmax.  Works on ndarrays and on a Tensor context vector.
     """
     scores = (word_vectors * context).sum(axis=-1)
-    if masked:
-        scores = scores + (np.asarray(mask) - 1.0) * MASK_NEG
+    scores = scores + (np.asarray(mask) - 1.0) * MASK_NEG
     return ad.softmax(scores, axis=-1)
 
 
-def attention_pool(word_vectors, mask, context, masked: bool = True):
+def attention_pool(word_vectors, mask, context):
     """Weighted average of word vectors under attention; (..., b) output.
 
     All-masked input yields the zero vector (the pad rows are zero, so any
     weighting of them vanishes).
     """
-    weights = attention_weights(word_vectors, mask, context, masked)
+    weights = attention_weights(word_vectors, mask, context)
     if isinstance(weights, Tensor):
         return (weights.reshape(*weights.shape, 1) * word_vectors).sum(axis=-2)
     return (weights[..., None] * word_vectors).sum(axis=-2)
-
-
-def encode_user(corpus: ProfileCorpus, user_id: int, table: EmbeddingTable,
-                params: AttentionParams, max_len: int = 25,
-                stop_words: frozenset[str] | None = None):
-    """Hidden representation of one user; zero vector if no profile text."""
-    tokens, mask = tokenize_and_pad(corpus.get(user_id), max_len, stop_words)
-    return attention_pool(table.embed(tokens), mask, params.context)
 
 
 class CorpusEncoding:
     """Pre-embedded corpus: constant (U, N, b) stack reused every step."""
 
     def __init__(self, corpus: ProfileCorpus, num_users: int, table: EmbeddingTable,
-                 max_len: int = 25, stop_words: frozenset[str] | None = None):
+                 max_len: int = 25):
         self.table = table
-        self.tokens = []
         vecs = np.zeros((num_users, max_len, table.dim))
         masks = np.zeros((num_users, max_len))
         for u in range(num_users):
-            tokens, mask = tokenize_and_pad(corpus.get(u), max_len, stop_words)
-            self.tokens.append(tokens)
+            tokens, mask = tokenize_and_pad(corpus.get(u), max_len)
             vecs[u] = table.embed(tokens)
             masks[u] = mask
         self.word_vectors = vecs
@@ -190,14 +156,13 @@ class CorpusEncoding:
 
 
 def top_attention_words(corpus: ProfileCorpus, user_ids, table: EmbeddingTable,
-                        params: AttentionParams, k: int, max_len: int = 25,
-                        stop_words: frozenset[str] | None = None):
+                        params: AttentionParams, k: int, max_len: int = 25):
     """Words ranked by mean attention weight across the profiles using them."""
     context = params.context.data if isinstance(params.context, Tensor) else params.context
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
     for u in user_ids:
-        tokens, mask = tokenize_and_pad(corpus.get(u), max_len, stop_words)
+        tokens, mask = tokenize_and_pad(corpus.get(u), max_len)
         if mask.sum() == 0:
             continue
         weights = attention_weights(table.embed(tokens), mask, context)

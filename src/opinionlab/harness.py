@@ -118,20 +118,14 @@ def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: Tr
         doc.update(overrides)
         configs.append(TrainConfig.from_dict(doc))
 
-    results: list[CellResult] = []
+    work = [(splits, profiles, c.to_dict(), cache_dir) for c in configs]
     if jobs > 1:
-        work = [(splits, profiles, c.to_dict(), cache_dir) for c in configs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_run_cell_worker, work))
-        for i, (config, (h, res, err)) in enumerate(zip(configs, outcomes)):
-            results.append(_to_cell_result(i, config, h, res, err))
     else:
-        for i, config in enumerate(configs):
-            try:
-                res = run_cell(splits, profiles, config, cache_dir)
-                results.append(_to_cell_result(i, config, res["hash"], res, None))
-            except Exception as err:
-                results.append(_to_cell_result(i, config, config_hash(config), None, str(err)))
+        outcomes = list(map(_run_cell_worker, work))
+    results = [_to_cell_result(i, config, h, res, err)
+               for i, (config, (h, res, err)) in enumerate(zip(configs, outcomes))]
 
     scored = [r for r in results if r.error is None]
     if not scored:
@@ -142,8 +136,8 @@ def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: Tr
 
 
 def _to_cell_result(index, config, h, res, err):
-    if err is not None or res is None:
-        return CellResult(index, config, h, float("nan"), float("nan"), error=err or "unknown")
+    if err is not None:
+        return CellResult(index, config, h, float("nan"), float("nan"), error=err)
     return CellResult(index, config, h, res["val_acc"], res["val_f1"],
                       res.get("test_acc"), res.get("test_f1"))
 
@@ -254,19 +248,18 @@ def ablation_sinn_vs_nn(splits, profiles: ProfileCorpus, config: TrainConfig, se
 # ----- baselines + comparison table --------------------------------------------------
 
 
-def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods,
-                  seed: int = 0, voter_repeats: int = 10):
+def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods, seed: int = 0):
     """Score the named baselines on the test posts.
 
     Returns {method: {"acc", "f1", "predictions"}}: the metrics' mean over
-    the method's runs (voter repeats; one run otherwise) and the first run's
-    predictions.  The train series is regularized once for all methods.
+    the method's runs (ten for the voter model, one otherwise) and the first
+    run's predictions.  The train series is regularized once for all methods.
     """
     out = {}
     series = baselines.regularize_series(train_ds)
     for method in methods:
         if method == "voter":
-            runs = baselines.voter_predict(series, test_ds, repeats=voter_repeats, seed=seed)
+            runs = baselines.voter_predict(series, test_ds, repeats=10, seed=seed)
         elif method == "degroot":
             runs = [baselines.degroot_predict(baselines.fit_degroot(series), test_ds)]
         elif method == "aslm":
@@ -279,7 +272,7 @@ def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods,
     return out
 
 
-COMPARISON_ROWS = ["voter", "degroot", "aslm", "slant", "slant+", "nn", "proposed"]
+COMPARISON_ROWS = ["voter", "degroot", "aslm", "nn", "proposed"]
 
 
 def comparison_table(rows: dict) -> list[list[str]]:
@@ -289,7 +282,7 @@ def comparison_table(rows: dict) -> list[list[str]]:
         if name in rows:
             table.append([name, repr(rows[name]["acc"]), repr(rows[name]["f1"])])
         else:
-            table.append([name, "", ""])  # not implemented here (e.g. point-process models)
+            table.append([name, "", ""])
     return table
 
 

@@ -1,8 +1,7 @@
 """Classification metrics: accuracy, per-class precision/recall/F1, macro-F1.
 
 Macro-F1 averages per-class F1 over the classes that actually occur in the
-true labels; classes with zero support are excluded by default (set
-``include_empty_classes`` to average them in as zeros).  A class whose
+true labels; classes with zero support are excluded.  A class whose
 precision and recall are both undefined contributes an F1 of zero.
 """
 
@@ -41,8 +40,7 @@ def confusion_matrix(true_labels, pred_labels, num_classes: int) -> np.ndarray:
     return matrix
 
 
-def compute_metrics(true_labels, pred_labels, num_classes: int,
-                    include_empty_classes: bool = False) -> Metrics:
+def compute_metrics(true_labels, pred_labels, num_classes: int) -> Metrics:
     matrix = confusion_matrix(true_labels, pred_labels, num_classes)
     total = matrix.sum()
     if total == 0:
@@ -59,7 +57,7 @@ def compute_metrics(true_labels, pred_labels, num_classes: int,
         recall = tp / support if support else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         reports.append(ClassReport(float(precision), float(recall), float(f1), support))
-        if support > 0 or include_empty_classes:
+        if support > 0:
             f1_values.append(f1)
     macro_f1 = float(np.mean(f1_values)) if f1_values else 0.0
     return Metrics(accuracy, macro_f1, tuple(reports), matrix)

@@ -19,7 +19,7 @@ data-fitted network (the ablation arm).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -27,11 +27,19 @@ from . import autodiff as ad
 from . import network
 from .autodiff import Adam, Tensor
 from .data import OpinionDataset, ProfileCorpus, label_to_continuous
-from .encoder import AttentionParams, CorpusEncoding, EmbeddingTable
+from .encoder import AttentionParams, CorpusEncoding, EmbeddingTable, attention_pool
 from .metrics import compute_metrics
 from .simulate import sbcm_partner_matrix
 
 VARIANTS = ("degroot", "fj", "bcm", "sbcm")
+
+# The trainable leaves of each variant's dynamics, in optimizer order.
+ODE_LEAVES = {
+    "degroot": ("m_factors", "q_factors"),
+    "fj": ("raw_s",),
+    "bcm": ("raw_delta", "raw_gamma"),
+    "sbcm": ("rho",),
+}
 
 PROB_FLOOR = 1e-12
 
@@ -82,13 +90,6 @@ class TrainConfig:
         return cls(**doc)
 
 
-@dataclass
-class GumbelSample:
-    """Relaxed one-hot partner-choice vector(s) on the probability simplex."""
-
-    z_tilde: np.ndarray
-
-
 def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     """Gumbel(0,1) noise via inverse transform: -log(-log(uniform))."""
     u = rng.uniform(size=shape)
@@ -101,26 +102,11 @@ def gumbel_softmax(p, tau: float, noise):
     return ad.softmax(logits, axis=-1)
 
 
-def gumbel_softmax_sample(p, tau: float, rng: np.random.Generator) -> GumbelSample:
-    """Draw one relaxed sample from the categorical distribution `p`."""
-    p = np.asarray(p, dtype=float)
-    return GumbelSample(gumbel_softmax(p, tau, gumbel_noise(rng, p.shape)))
-
-
 # ----- ODE right-hand sides ----------------------------------------------------
 #
-# The *_rhs functions are the scalar per-user contracts (plain numpy); the
-# *_rhs_all versions are the vectorized forms used in the training graph.
-# They accept Tensors throughout, and opinions shaped (U,) or (J, U): a
-# leading axis of J collocation points is evaluated in one pass.
-
-
-def degroot_rhs(x_all, m_factors, q_factors, u: int) -> float:
-    """sum over v != u of (m_u . q_v) * x_v."""
-    x = np.asarray(x_all, dtype=float)
-    weights = np.asarray(q_factors) @ np.asarray(m_factors)[u]
-    weights[u] = 0.0
-    return float(weights @ x)
+# The vectorized right-hand sides of the training graph.  They accept
+# Tensors throughout, and opinions shaped (U,) or (J, U): a leading axis of
+# J collocation points is evaluated in one pass.
 
 
 def degroot_rhs_all(x, m_factors, q_factors):
@@ -129,23 +115,9 @@ def degroot_rhs_all(x, m_factors, q_factors):
     return x @ a_t - diag * x
 
 
-def fj_rhs(x_all, innate, susceptibility, u: int) -> float:
-    """s_u * sum_{v != u} x_v + (1 - s_u) * x_u(0) - x_u."""
-    x = np.asarray(x_all, dtype=float)
-    s = float(np.asarray(susceptibility).reshape(-1)[u]) if np.ndim(susceptibility) else float(susceptibility)
-    return s * (x.sum() - x[u]) + (1.0 - s) * float(np.asarray(innate)[u]) - x[u]
-
-
 def fj_rhs_all(x, innate, susceptibility):
     others = x.sum(axis=-1, keepdims=True) - x
     return susceptibility * others + (1.0 - susceptibility) * innate - x
-
-
-def bcm_rhs(x_all, delta: float, gamma: float, u: int) -> float:
-    """sum over v of sigmoid(gamma * (delta - |x_u - x_v|)) * (x_v - x_u)."""
-    x = np.asarray(x_all, dtype=float)
-    diff = x - x[u]
-    return float((ad.sigmoid(gamma * (delta - np.abs(diff))) * diff).sum())
 
 
 def bcm_rhs_all(x, delta, gamma):
@@ -153,13 +125,6 @@ def bcm_rhs_all(x, delta, gamma):
     diff = x.reshape(*lead, 1, n) - x.reshape(*lead, n, 1)  # diff[..., u, v] = x_v - x_u
     gate = ad.sigmoid((delta - ad.absolute(diff)) * gamma)
     return (gate * diff).sum(axis=-1)
-
-
-def sbcm_rhs(x_all, z_tilde, u: int) -> float:
-    """sum over v of z_uv * (x_v - x_u)."""
-    x = np.asarray(x_all, dtype=float)
-    z = np.asarray(z_tilde, dtype=float)
-    return float((z * (x - x[u])).sum())
 
 
 def sbcm_rhs_all(x, z_tilde):
@@ -200,13 +165,7 @@ class OdeParams:
             raise ValueError(f"unknown variant {variant!r}")
 
     def parameters(self) -> list[Tensor]:
-        if self.variant == "degroot":
-            return [self.m_factors, self.q_factors]
-        if self.variant == "fj":
-            return [self.raw_s]
-        if self.variant == "bcm":
-            return [self.raw_delta, self.raw_gamma]
-        return [self.rho]
+        return [getattr(self, name) for name in ODE_LEAVES[self.variant]]
 
     def susceptibility(self):
         return ad.sigmoid(self.raw_s)
@@ -219,20 +178,21 @@ class OdeParams:
 
     def to_dict(self) -> dict:
         doc = {"variant": self.variant, "tau": self.tau}
-        for name in ("m_factors", "q_factors", "raw_s", "raw_delta", "raw_gamma", "rho"):
-            if hasattr(self, name):
-                doc[name] = getattr(self, name).data.tolist()
+        for name in ODE_LEAVES[self.variant]:
+            doc[name] = getattr(self, name).data.tolist()
         if self.variant == "fj":
             doc["innate"] = self.innate.tolist()
         return doc
 
     def load_dict(self, doc: dict):
-        for name in ("m_factors", "q_factors", "raw_s", "raw_delta", "raw_gamma", "rho"):
-            if name in doc:
-                param = getattr(self, name)
-                param.data = _checkpoint_array(doc[name], f"ode.{name}", param.shape)
-        if "innate" in doc:
-            self.innate = _checkpoint_array(doc["innate"], "ode.innate", self.innate.shape)
+        """Set every leaf from a checkpoint's `ode` section; a missing or
+        misshapen one raises ValueError naming the field."""
+        for name in ODE_LEAVES[self.variant]:
+            param = getattr(self, name)
+            param.data = _checkpoint_array(_checkpoint_field(doc, name, "ode"), f"ode.{name}", param.shape)
+        if self.variant == "fj":
+            self.innate = _checkpoint_array(_checkpoint_field(doc, "innate", "ode"), "ode.innate",
+                                            self.innate.shape)
 
 
 def _softplus(x):
@@ -302,10 +262,6 @@ class SinnModel:
     def logits(self, x_hat):
         return x_hat.reshape(-1, 1) * self.head_w + self.head_b
 
-    def class_probabilities(self, x_hat):
-        """softmax over class logits (equal to a sigmoid for two classes)."""
-        return ad.softmax(self.logits(x_hat), axis=-1)
-
     def predict_proba(self, user_ids, times, encoding: CorpusEncoding | None = None) -> np.ndarray:
         """(n, C) class probabilities; pure numpy, no graph.
 
@@ -315,7 +271,7 @@ class SinnModel:
         if np.any(user_ids < 0) or np.any(user_ids >= self.num_users):
             raise ValueError("unknown user id")
         encoding = self.encoding if encoding is None else encoding
-        h_all = _encode_numpy(encoding, self.attention.context.data)
+        h_all = attention_pool(encoding.word_vectors, encoding.masks, self.attention.context.data)
         inputs = network.build_inputs(
             np.atleast_1d(np.asarray(times, dtype=float)),
             self._eye[user_ids],
@@ -332,12 +288,6 @@ class SinnModel:
     def restore(self, snapshot: list[np.ndarray]):
         for p, data in zip(self.parameters(), snapshot):
             p.data = data.copy()
-
-
-def _encode_numpy(encoding: CorpusEncoding, context: np.ndarray) -> np.ndarray:
-    from .encoder import attention_pool
-
-    return attention_pool(encoding.word_vectors, encoding.masks, np.asarray(context))
 
 
 def predict(model: SinnModel, user_id: int, t_star: float,
@@ -578,41 +528,88 @@ def save_model(model: SinnModel, path):
         json.dump(doc, fh, sort_keys=True)
 
 
+def _checkpoint_field(section, key: str, where: str | None = None):
+    """`section[key]`, or ValueError naming the field; `where` names the
+    section (None for the top level)."""
+    if not isinstance(section, dict):
+        raise ValueError(f"checkpoint field {where!r} must be a JSON object")
+    if key not in section:
+        field = f"{where}.{key}" if where else key
+        raise ValueError(f"checkpoint lacks field {field!r}")
+    return section[key]
+
+
 def _checkpoint_array(value, field: str, shape) -> np.ndarray:
-    """`value` as a float array of `shape`, or ValueError naming `field`."""
-    array = np.asarray(value, dtype=float)
+    """`value` as a finite float array of `shape`, or ValueError naming `field`."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"checkpoint field {field!r} is not an array of numbers") from None
     if array.shape != tuple(shape):
         raise ValueError(f"checkpoint field {field!r} has shape {array.shape}, expected {tuple(shape)}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"checkpoint field {field!r} has non-finite values")
     return array
+
+
+def _checkpoint_number(doc: dict, key: str, integer: bool):
+    """A positive integer (`integer`) or a finite non-negative number."""
+    value = _checkpoint_field(doc, key)
+    if integer and type(value) is int and value > 0:
+        return value
+    if not integer and type(value) in (int, float) and 0 <= value < float("inf"):
+        return float(value)
+    kind = "a positive integer" if integer else "a finite non-negative number"
+    raise ValueError(f"checkpoint field {key!r} must be {kind}, got {value!r}")
+
+
+def _checkpoint_config(doc: dict) -> TrainConfig:
+    section = _checkpoint_field(doc, "config")
+    values = {f.name: _checkpoint_field(section, f.name, "config") for f in fields(TrainConfig)}
+    unknown = sorted(set(section) - set(values))
+    if unknown:
+        raise ValueError(f"checkpoint field 'config' has unknown keys {unknown}")
+    try:
+        return TrainConfig.from_dict(values)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"checkpoint field 'config': {err}") from None
 
 
 def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     """Rebuild a model from a checkpoint plus the profile corpus it used.
 
-    An array whose shape does not fit the checkpoint's `num_users`,
-    `num_classes` and `config` raises ValueError naming the field.
+    A missing field, a section that is not an object, a config key that
+    TrainConfig does not know, or an array whose shape does not fit the
+    checkpoint's `num_users`, `num_classes` and `config` raises ValueError
+    naming the field.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    config = TrainConfig.from_dict(doc["config"])
-    num_users, num_classes = int(doc["num_users"]), int(doc["num_classes"])
-    horizon = float(doc["horizon"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a checkpoint must be a JSON object")
+    config = _checkpoint_config(doc)
+    num_users, num_classes = (_checkpoint_number(doc, key, integer=True)
+                              for key in ("num_users", "num_classes"))
+    horizon = _checkpoint_number(doc, "horizon", integer=False)
 
     table = EmbeddingTable.from_corpus(profiles, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table, max_len=config.max_profile_len)
-    attention = AttentionParams(_checkpoint_array(doc["context"], "context", (config.embed_dim,)))
+    context = _checkpoint_field(doc, "context")
+    attention = AttentionParams(_checkpoint_array(context, "context", (config.embed_dim,)))
     layout = network.init_params(config.num_layers, config.width,
                                  1 + num_users + config.embed_dim, seed=0)
+    arrays = {}
     for key in ("weights", "biases"):
-        shapes = [np.shape(v) for v in doc["fnn"][key]]
-        expected = [p.shape for p in getattr(layout, key)]
-        if shapes != expected:
-            raise ValueError(f"checkpoint field 'fnn.{key}' has shapes {shapes}, expected {expected}")
-    fnn = network.params_from_dict(doc["fnn"])
-    head_w = Tensor(_checkpoint_array(doc["head_w"], "head_w", (num_classes,)), requires_grad=True)
-    head_b = Tensor(_checkpoint_array(doc["head_b"], "head_b", (num_classes,)), requires_grad=True)
+        values = _checkpoint_field(_checkpoint_field(doc, "fnn"), key, "fnn")
+        shapes = [p.shape for p in getattr(layout, key)]
+        if not isinstance(values, list) or len(values) != len(shapes):
+            raise ValueError(f"checkpoint field 'fnn.{key}' must be a list of {len(shapes)} arrays")
+        arrays[key] = [_checkpoint_array(v, f"fnn.{key}", shape) for v, shape in zip(values, shapes)]
+    fnn = network.FnnParams(arrays["weights"], arrays["biases"])
+    head_w, head_b = (Tensor(_checkpoint_array(_checkpoint_field(doc, key), key, (num_classes,)),
+                             requires_grad=True) for key in ("head_w", "head_b"))
     rng = np.random.default_rng(config.seed)
     ode = OdeParams(config.variant, num_users, config, rng)
-    ode.load_dict(doc["ode"])
+    ode.load_dict(_checkpoint_field(doc, "ode"))
     return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
                      num_users, num_classes, horizon, config)

@@ -11,8 +11,6 @@ itself stays differentiable with respect to the weights and the inputs.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .autodiff import Tensor, concat
@@ -36,9 +34,6 @@ class FnnParams:
 
     def parameters(self) -> list[Tensor]:
         return self.weights + self.biases
-
-    def copy(self) -> "FnnParams":
-        return FnnParams([w.data.copy() for w in self.weights], [b.data.copy() for b in self.biases])
 
 
 def init_params(num_hidden_layers: int, width: int, input_dim: int, seed: int) -> FnnParams:
@@ -171,20 +166,3 @@ def params_to_dict(params: FnnParams) -> dict:
         "weights": [w.data.tolist() for w in params.weights],
         "biases": [b.data.tolist() for b in params.biases],
     }
-
-
-def params_from_dict(doc: dict) -> FnnParams:
-    return FnnParams([np.asarray(w) for w in doc["weights"]], [np.asarray(b) for b in doc["biases"]])
-
-
-def save_params(params: FnnParams, path, config: dict | None = None):
-    doc = params_to_dict(params)
-    if config is not None:
-        doc["config"] = config
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_params(path) -> FnnParams:
-    with open(path, encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))

@@ -155,30 +155,6 @@ def step_degroot(state: SimState, weights: np.ndarray) -> SimState:
     return replace(state, opinions=x, step=state.step + 1)
 
 
-def step_fj(state: SimState, susceptibility: np.ndarray, innate: np.ndarray) -> SimState:
-    """x_u(t+1) = s_u * sum_{v != u} x_v(t) + (1 - s_u) * x_u(0)."""
-    s = np.asarray(susceptibility, dtype=float)
-    x = state.opinions
-    others = x.sum() - x
-    return replace(state, opinions=s * others + (1.0 - s) * np.asarray(innate, dtype=float), step=state.step + 1)
-
-
-def step_hk(state: SimState, delta: float) -> SimState:
-    """Bounded-confidence averaging; the neighborhood includes the user."""
-    x = state.opinions
-    near = np.abs(x[:, None] - x[None, :]) <= delta
-    counts = near.sum(axis=1)
-    x_new = x + (near @ x) / counts - x  # mean over neighborhood of (x_v - x_u)
-    return replace(state, opinions=x_new, step=state.step + 1)
-
-
-def step_voter(state: SimState) -> SimState:
-    """Every user copies a uniformly random user's opinion (synchronously)."""
-    n = state.opinions.shape[0]
-    picks = state.rng.integers(0, n, size=n)
-    return SimState(state.opinions[picks], state.step + 1, state.rng)
-
-
 def trajectory_to_dataset(trajectory: np.ndarray, num_classes: int = 5) -> OpinionDataset:
     """One post per user per step; label = discretized opinion, time = step."""
     num_users, num_steps = trajectory.shape

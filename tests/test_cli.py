@@ -143,6 +143,20 @@ class TestEvaluateCommand:
         assert printed["split"] == "val"
         assert 0.0 <= printed["acc"] <= 1.0
 
+    def test_malformed_checkpoint_is_error(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        main(["train", "--config", str(cfg_path), "--out", str(out)])
+        doc = json.loads((out / "checkpoint.json").read_text())
+        del doc["horizon"]
+        (out / "checkpoint.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(cfg_path),
+                     "--checkpoint", str(out / "checkpoint.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'horizon'" in err
+
 
 class TestBaselineCommand:
     def test_all_methods(self, workspace, capsys):
@@ -212,9 +226,9 @@ class TestReportCommand:
         table = (out / "comparison.csv").read_text().strip().splitlines()
         assert table[0] == "method,acc,f1"
         names = [line.split(",")[0] for line in table[1:]]
-        assert names == ["voter", "degroot", "aslm", "slant", "slant+", "nn", "proposed"]
+        assert names == ["voter", "degroot", "aslm", "nn", "proposed"]
         by_name = {line.split(",")[0]: line for line in table[1:]}
-        assert by_name["slant"] == "slant,,"  # not implemented, left blank
+        assert by_name["nn"] == "nn,,"  # not filled by report, left blank
         assert by_name["proposed"].count(",") == 2
         assert by_name["proposed"] != "proposed,,"
 

@@ -1,6 +1,7 @@
 """Label scaling, chronological splits, and dataset file IO."""
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -300,6 +301,25 @@ class TestFileIO:
         with pytest.raises(DatasetError):
             load_profiles(path)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"1": null}', "'1'"),
+        ('{"2": 5}', "'2'"),
+        ('{"0": ["a"]}', "'0'"),
+        ('{"-3": "neg"}', "'-3'"),
+        ('{"a": "x"}', "'a'"),
+        ('{"01": "x"}', "'01'"),
+        ('{" 1": "x"}', "' 1'"),
+        ('{"1.0": "x"}', "'1.0'"),
+        ('{"9223372036854775808": "x"}', "'9223372036854775808'"),
+        ('{"1": "x"', "invalid JSON"),
+    ], ids=["null", "number", "list", "negative", "letter", "leading_zero", "space", "decimal",
+            "over_64_bits", "bad_json"])
+    def test_malformed_profiles_raise_dataset_error(self, tmp_path, text, key):
+        path = tmp_path / "profiles.json"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match=re.escape(key)):
+            load_profiles(path)
+
 
 class TestPostValidation:
     def test_negative_fields_rejected(self):
@@ -349,3 +369,26 @@ class TestLoadDatasetProperty:
         assert np.all(np.isfinite(ds.times())) and np.all(np.diff(ds.times()) >= 0)
         assert 0 <= ds.users().min() and ds.users().max() < ds.num_users
         assert 0 <= ds.labels().min() and ds.labels().max() < ds.num_classes
+
+
+PROFILE_VALUES = st.one_of(st.text(max_size=8), st.none(), st.integers(), st.floats(),
+                           st.booleans(), st.lists(st.text(max_size=2), max_size=2))
+PROFILE_KEYS = st.one_of(st.integers(-5, 2**64).map(str), st.text(max_size=5))
+
+
+class TestLoadProfilesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.dictionaries(PROFILE_KEYS, PROFILE_VALUES, max_size=4).map(json.dumps),
+                     st.recursive(PROFILE_VALUES, lambda c: st.lists(c, max_size=3)).map(json.dumps),
+                     st.text(max_size=20)))
+    def test_any_text_loads_or_raises_dataset_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "profiles.json"
+            path.write_text(text, encoding="utf-8")
+            try:
+                corpus = load_profiles(path)
+            except DatasetError:
+                return
+        for user, description in corpus.descriptions.items():
+            assert type(user) is int and 0 <= user < 2**63
+            assert isinstance(description, str)

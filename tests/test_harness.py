@@ -91,18 +91,34 @@ class TestGridSearch:
     def test_failed_cell_recorded_search_continues(self, tmp_path, monkeypatch):
         splits = tiny_splits()
         base = TrainConfig(**FAST)
-        real = harness.run_cell
+        real_run, real_result = harness.run_cell, harness._to_cell_result
+        recorded = []
 
         def flaky(splits_, profiles_, config, cache_dir=None):
             if config.variant == "bcm":
                 raise RuntimeError("boom")
-            return real(splits_, profiles_, config, cache_dir)
+            return real_run(splits_, profiles_, config, cache_dir)
+
+        def spy(*args):
+            recorded.append(real_result(*args))
+            return recorded[-1]
 
         monkeypatch.setattr(harness, "run_cell", flaky)
+        monkeypatch.setattr(harness, "_to_cell_result", spy)
         spec = GridSpec({"variant": ["bcm", "fj"]})
         leaderboard, best = grid_search(splits, PROFILES, spec, base, cache_dir=tmp_path)
         assert len(leaderboard) == 1
         assert best.config.variant == "fj"
+        assert [r.error for r in recorded] == ["RuntimeError: boom", None]
+
+    def test_pool_matches_serial(self):
+        splits = tiny_splits()
+        spec = GridSpec({"variant": ["fj", "sbcm"]})
+        boards = [grid_search(splits, PROFILES, spec, TrainConfig(**FAST), jobs=jobs)[0]
+                  for jobs in (2, 1)]
+        pooled, serial = ([(r.hash, r.val_f1, r.val_acc) for r in board] for board in boards)
+        assert len(pooled) == 2
+        assert pooled == serial
 
     def test_all_cells_failed_raises(self, monkeypatch):
         splits = tiny_splits()
@@ -160,6 +176,6 @@ class TestBaselinesAndReport:
         assert header == ["method", "acc", "f1"]
         by_name = {r[0]: r for r in rows}
         assert by_name["voter"] == ["voter", "0.5", "0.25"]
-        assert by_name["slant"] == ["slant", "", ""]
-        assert by_name["slant+"] == ["slant+", "", ""]
+        assert [r[0] for r in rows] == ["voter", "degroot", "aslm", "nn", "proposed"]
+        assert by_name["nn"] == ["nn", "", ""]
         assert by_name["proposed"] == ["proposed", "", ""]

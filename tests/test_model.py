@@ -8,30 +8,25 @@ import weakref
 import numpy as np
 import pytest
 
-from opinionlab import model as model_mod, network
+from opinionlab import autodiff as ad, model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
 from opinionlab.model import (
     OdeParams,
     TrainConfig,
     TrainingDiverged,
-    bcm_rhs,
     bcm_rhs_all,
     build_model,
     data_loss,
-    degroot_rhs,
     degroot_rhs_all,
-    fj_rhs,
     fj_rhs_all,
     gumbel_noise,
     gumbel_softmax,
-    gumbel_softmax_sample,
     load_model,
     ode_loss,
     ode_rhs_all,
     predict,
     save_model,
-    sbcm_rhs,
     sbcm_rhs_all,
     total_loss,
     train,
@@ -73,6 +68,41 @@ class TestConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(gumbel_tau=0.0)
+
+
+# ----- scalar ODE right-hand sides ---------------------------------------------
+#
+# The per-user contracts in plain numpy: the oracles that the vectorized
+# *_rhs_all forms of the training graph are checked against.
+
+
+def degroot_rhs(x_all, m_factors, q_factors, u: int) -> float:
+    """sum over v != u of (m_u . q_v) * x_v."""
+    x = np.asarray(x_all, dtype=float)
+    weights = np.asarray(q_factors) @ np.asarray(m_factors)[u]
+    weights[u] = 0.0
+    return float(weights @ x)
+
+
+def fj_rhs(x_all, innate, susceptibility, u: int) -> float:
+    """s_u * sum_{v != u} x_v + (1 - s_u) * x_u(0) - x_u."""
+    x = np.asarray(x_all, dtype=float)
+    s = float(np.asarray(susceptibility).reshape(-1)[u]) if np.ndim(susceptibility) else float(susceptibility)
+    return s * (x.sum() - x[u]) + (1.0 - s) * float(np.asarray(innate)[u]) - x[u]
+
+
+def bcm_rhs(x_all, delta: float, gamma: float, u: int) -> float:
+    """sum over v of sigmoid(gamma * (delta - |x_u - x_v|)) * (x_v - x_u)."""
+    x = np.asarray(x_all, dtype=float)
+    diff = x - x[u]
+    return float((ad.sigmoid(gamma * (delta - np.abs(diff))) * diff).sum())
+
+
+def sbcm_rhs(x_all, z_tilde, u: int) -> float:
+    """sum over v of z_uv * (x_v - x_u)."""
+    x = np.asarray(x_all, dtype=float)
+    z = np.asarray(z_tilde, dtype=float)
+    return float((z * (x - x[u])).sum())
 
 
 class TestRhsContracts:
@@ -144,7 +174,7 @@ class TestGumbelSoftmax:
         rng = np.random.default_rng(0)
         p = np.array([0.2, 0.3, 0.5])
         for _ in range(100):
-            z = gumbel_softmax_sample(p, tau=0.5, rng=rng).z_tilde
+            z = gumbel_softmax(p, 0.5, gumbel_noise(rng, p.shape))
             assert np.all(z >= 0)
             assert z.sum() == pytest.approx(1.0)
 
@@ -426,6 +456,18 @@ class TestTraining:
         np.testing.assert_array_equal(m.ode.m_factors.data, fresh.ode.m_factors.data)
 
 
+def assert_load_names_field(tmp_path, variant, edit, field):
+    """A saved checkpoint changed by `edit` fails to load with ValueError naming `field`."""
+    cfg = TrainConfig(variant=variant, num_layers=1, width=3, embed_dim=4, seed=0)
+    path = tmp_path / "checkpoint.json"
+    save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+        load_model(path, tiny_profiles())
+
+
 class TestPredictAndCheckpoint:
     def test_predict_returns_distribution(self):
         ds = tiny_dataset()
@@ -494,13 +536,39 @@ class TestPredictAndCheckpoint:
         pytest.param("bcm", lambda d: d["ode"].update(raw_gamma=[1.0]), "ode.raw_gamma", id="raw_gamma"),
     ])
     def test_load_rejects_shape_mismatch(self, tmp_path, variant, edit, field):
-        cfg = TrainConfig(variant=variant, num_layers=1, width=3, embed_dim=4, seed=0)
+        assert_load_names_field(tmp_path, variant, edit, field)
+
+    @pytest.mark.parametrize("variant, edit, field", [
+        pytest.param("sbcm", lambda d: d.update(ode=[0.0]), "ode", id="ode_list"),
+        pytest.param("sbcm", lambda d: d["ode"].pop("rho"), "ode.rho", id="ode_lacks_rho"),
+        pytest.param("fj", lambda d: d["ode"].pop("innate"), "ode.innate", id="ode_lacks_innate"),
+        pytest.param("degroot", lambda d: d["ode"].pop("q_factors"), "ode.q_factors", id="ode_lacks_q"),
+        *[pytest.param("sbcm", lambda d, key=key: d.pop(key), key, id=f"lacks_{key}")
+          for key in ("config", "num_users", "num_classes", "horizon", "fnn", "head_w", "head_b",
+                      "context", "ode")],
+        pytest.param("sbcm", lambda d: d["fnn"].pop("biases"), "fnn.biases", id="fnn_lacks_biases"),
+        pytest.param("sbcm", lambda d: d.update(fnn=[]), "fnn", id="fnn_list"),
+        pytest.param("sbcm", lambda d: d["config"].update(warp_speed=True), "config", id="config_unknown_key"),
+        pytest.param("sbcm", lambda d: d["config"].pop("seed"), "config.seed", id="config_lacks_seed"),
+        pytest.param("sbcm", lambda d: d["config"].update(variant="magnetic"), "config", id="config_bad_value"),
+        pytest.param("sbcm", lambda d: d.update(config=[]), "config", id="config_list"),
+        pytest.param("sbcm", lambda d: d.update(num_users="4"), "num_users", id="num_users_text"),
+        pytest.param("sbcm", lambda d: d.update(num_classes=0), "num_classes", id="num_classes_zero"),
+        pytest.param("sbcm", lambda d: d.update(horizon=-1.0), "horizon", id="horizon_negative"),
+        pytest.param("sbcm", lambda d: d.update(head_w=["a", "b", "c"]), "head_w", id="head_w_text"),
+        pytest.param("sbcm", lambda d: d["head_w"].__setitem__(0, float("nan")), "head_w", id="head_w_nan"),
+        pytest.param("sbcm", lambda d: d["fnn"]["weights"][0][0].__setitem__(0, float("inf")), "fnn.weights",
+                     id="fnn_inf"),
+        pytest.param("sbcm", lambda d: d["fnn"].update(weights=[[1.0], [1.0, 2.0]]), "fnn.weights",
+                     id="fnn_ragged"),
+    ])
+    def test_load_rejects_malformed(self, tmp_path, variant, edit, field):
+        assert_load_names_field(tmp_path, variant, edit, field)
+
+    def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "checkpoint.json"
-        save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must be a JSON object"):
             load_model(path, tiny_profiles())
 
     def test_checkpoint_bytes_deterministic(self, tmp_path):

@@ -16,10 +16,7 @@ from opinionlab.simulate import (
     sbcm_partner_matrix,
     sbcm_partner_probs,
     step_degroot,
-    step_fj,
-    step_hk,
     step_sbcm,
-    step_voter,
 )
 
 
@@ -205,34 +202,6 @@ class TestClassicSteppers:
         w = np.array([[5.0, 0.1], [0.2, -3.0]])
         new = step_degroot(state, w)
         np.testing.assert_allclose(new.opinions, [0.5 + 0.1 * -0.5, -0.5 + 0.2 * 0.5])
-
-    def test_fj_fully_stubborn_pins_to_innate(self):
-        innate = np.array([0.3, -0.7, 0.1])
-        state = make_state([0.9, 0.9, 0.9])
-        new = step_fj(state, np.zeros(3), innate)
-        np.testing.assert_array_equal(new.opinions, innate)
-
-    def test_fj_hand_example(self):
-        # x=[0.2, -0.4], s=[0.5, 1.0], innate=[0.1, 0.0]
-        state = make_state([0.2, -0.4])
-        new = step_fj(state, np.array([0.5, 1.0]), np.array([0.1, 0.0]))
-        np.testing.assert_allclose(new.opinions, [0.5 * -0.4 + 0.5 * 0.1, 1.0 * 0.2 + 0.0])
-
-    def test_hk_equal_opinions_unchanged(self):
-        state = make_state([0.3, 0.3, 0.3])
-        new = step_hk(state, delta=0.2)
-        np.testing.assert_allclose(new.opinions, state.opinions)
-
-    def test_hk_neighborhood_mean(self):
-        # delta=0.5: users at 0 and 0.4 average each other; 2.0 is isolated
-        state = make_state([0.0, 0.4, 2.0])
-        new = step_hk(state, delta=0.5)
-        np.testing.assert_allclose(new.opinions, [0.2, 0.2, 2.0])
-
-    def test_voter_copies_existing_opinions(self):
-        state = make_state([0.1, 0.2, 0.3, 0.4], seed=9)
-        new = step_voter(state)
-        assert set(np.round(new.opinions, 12)) <= set(np.round(state.opinions, 12))
 
 
 class TestGenerator:
