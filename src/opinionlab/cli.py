@@ -29,11 +29,9 @@ from .harness import evaluate_model, run_baselines
 from .model import TrainConfig, train
 
 DATA_KEYS = {"dataset", "profiles", "split"}
-MODEL_KEYS = {"variant", "num_layers", "width", "latent_dim", "embed_dim",
-              "max_profile_len", "gumbel_tau", "bcm_gamma", "bcm_delta",
-              "sbcm_rho", "horizon"}
+MODEL_KEYS = {"variant", "num_layers", "width", "latent_dim", "embed_dim"}
 TRAIN_KEYS = {"alpha", "beta", "collocation", "epochs", "batch_size",
-              "learning_rate", "seed", "freeze_ode"}
+              "learning_rate", "seed"}
 SIM_KEYS = {"preset", "num_users", "num_steps", "initiators_per_step", "mu",
             "rho", "update_rule", "init_range", "seed", "num_classes"}
 
@@ -243,14 +241,18 @@ def cmd_gridsearch(args) -> int:
     base = _train_config(doc, args.seed)
     axes = parse_axes(args.axes) if args.axes else dict(harness.DEFAULT_AXES)
     out = _out_dir(args)
-    leaderboard, best = harness.grid_search(splits, profiles, harness.GridSpec(axes), base,
-                                            cache_dir=out / "runs", jobs=args.jobs)
+    try:
+        leaderboard, failed = harness.grid_search(splits, profiles, harness.GridSpec(axes), base,
+                                                  cache_dir=out / "runs", jobs=args.jobs)
+    except harness.AllCellsFailed as err:
+        raise CliError(str(err)) from err
     harness.leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
+    best = leaderboard[0]
     print(json.dumps({"best_hash": best.hash, "best_val_f1": best.val_f1,
                       "best_val_acc": best.val_acc,
                       **({"best_test_f1": best.test_f1, "best_test_acc": best.test_acc}
                          if best.test_f1 is not None else {}),
-                      "cells": len(leaderboard)}, sort_keys=True))
+                      "cells": len(leaderboard), "failed": failed}, sort_keys=True))
     return 0
 
 
@@ -379,10 +381,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, DatasetError, OSError, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, model_mod.TrainingDiverged) as err:
+    except (CliError, DatasetError, OSError, ValueError, model_mod.TrainingDiverged) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

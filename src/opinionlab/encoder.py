@@ -23,8 +23,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
 MASK_NEG = 1e9
 
-# Fallback rows that unknown tokens hash into.
-OOV_BUCKETS = 32
+OOV_BUCKETS = 32  # fallback rows that unknown tokens hash into
+MAX_PROFILE_LEN = 25  # profiles are truncated or padded to this many tokens
 
 
 def tokenize(text: str) -> list[str]:
@@ -32,18 +32,16 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def tokenize_and_pad(text: str, max_len: int = 25):
+def tokenize_and_pad(text: str):
     """Fixed-length token list plus a 0/1 mask of real positions.
 
-    Texts longer than `max_len` are truncated at the end; shorter ones are
-    padded. Empty text gives an all-pad sequence with an all-zero mask.
+    Texts longer than MAX_PROFILE_LEN are truncated at the end; shorter ones
+    are padded. Empty text gives an all-pad sequence with an all-zero mask.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    tokens = tokenize(text)[:max_len]
-    mask = np.zeros(max_len)
+    tokens = tokenize(text)[:MAX_PROFILE_LEN]
+    mask = np.zeros(MAX_PROFILE_LEN)
     mask[: len(tokens)] = 1.0
-    return tokens + [PAD] * (max_len - len(tokens)), mask
+    return tokens + [PAD] * (MAX_PROFILE_LEN - len(tokens)), mask
 
 
 class EmbeddingTable:
@@ -138,13 +136,12 @@ def attention_pool(word_vectors, mask, context):
 class CorpusEncoding:
     """Pre-embedded corpus: constant (U, N, b) stack reused every step."""
 
-    def __init__(self, corpus: ProfileCorpus, num_users: int, table: EmbeddingTable,
-                 max_len: int = 25):
+    def __init__(self, corpus: ProfileCorpus, num_users: int, table: EmbeddingTable):
         self.table = table
-        vecs = np.zeros((num_users, max_len, table.dim))
-        masks = np.zeros((num_users, max_len))
+        vecs = np.zeros((num_users, MAX_PROFILE_LEN, table.dim))
+        masks = np.zeros((num_users, MAX_PROFILE_LEN))
         for u in range(num_users):
-            tokens, mask = tokenize_and_pad(corpus.get(u), max_len)
+            tokens, mask = tokenize_and_pad(corpus.get(u))
             vecs[u] = table.embed(tokens)
             masks[u] = mask
         self.word_vectors = vecs
@@ -156,13 +153,13 @@ class CorpusEncoding:
 
 
 def top_attention_words(corpus: ProfileCorpus, user_ids, table: EmbeddingTable,
-                        params: AttentionParams, k: int, max_len: int = 25):
+                        params: AttentionParams, k: int):
     """Words ranked by mean attention weight across the profiles using them."""
     context = params.context.data if isinstance(params.context, Tensor) else params.context
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
     for u in user_ids:
-        tokens, mask = tokenize_and_pad(corpus.get(u), max_len)
+        tokens, mask = tokenize_and_pad(corpus.get(u))
         if mask.sum() == 0:
             continue
         weights = attention_weights(table.embed(tokens), mask, context)

@@ -32,6 +32,10 @@ DEFAULT_AXES = {
 }
 
 
+class AllCellsFailed(RuntimeError):
+    """Every cell of a grid search raised; the message lists each one's error."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     axes: dict[str, list] = field(default_factory=lambda: dict(DEFAULT_AXES))
@@ -59,7 +63,6 @@ class CellResult:
     val_f1: float
     test_acc: float | None = None
     test_f1: float | None = None
-    error: str | None = None
 
 
 def evaluate_model(trained, dataset_split: OpinionDataset) -> Metrics:
@@ -105,11 +108,12 @@ def _run_cell_worker(args):
 
 def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: TrainConfig,
                 cache_dir=None, jobs: int = 1):
-    """Train every grid cell; returns (leaderboard, best CellResult).
+    """Train every grid cell; returns (leaderboard, failed).
 
-    The leaderboard is ordered by validation macro-F1 descending with the
-    cell index as the deterministic tie-break.  Test metrics are reported
-    only for the winner.
+    The leaderboard holds the scored cells ordered by validation macro-F1
+    descending, with the cell index as the deterministic tie-break; its
+    first entry is the best cell.  `failed` maps the config hash of each
+    cell that raised to its "{Type}: {message}".
     """
     base = base_config.to_dict()
     configs = []
@@ -124,22 +128,13 @@ def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: Tr
             outcomes = list(pool.map(_run_cell_worker, work))
     else:
         outcomes = list(map(_run_cell_worker, work))
-    results = [_to_cell_result(i, config, h, res, err)
-               for i, (config, (h, res, err)) in enumerate(zip(configs, outcomes))]
-
-    scored = [r for r in results if r.error is None]
+    scored = [CellResult(i, config, h, res["val_acc"], res["val_f1"],
+                         res.get("test_acc"), res.get("test_f1"))
+              for i, (config, (h, res, err)) in enumerate(zip(configs, outcomes)) if err is None]
+    failed = {h: err for h, _, err in outcomes if err is not None}
     if not scored:
-        raise RuntimeError("every grid cell failed")
-    leaderboard = sorted(scored, key=lambda r: (-r.val_f1, r.index))
-    best = leaderboard[0]
-    return leaderboard, best
-
-
-def _to_cell_result(index, config, h, res, err):
-    if err is not None:
-        return CellResult(index, config, h, float("nan"), float("nan"), error=err)
-    return CellResult(index, config, h, res["val_acc"], res["val_f1"],
-                      res.get("test_acc"), res.get("test_f1"))
+        raise AllCellsFailed(f"every grid cell failed: {failed}")
+    return sorted(scored, key=lambda r: (-r.val_f1, r.index)), failed
 
 
 def leaderboard_to_csv(leaderboard, path):
@@ -156,7 +151,10 @@ def leaderboard_to_csv(leaderboard, path):
 # ----- gradient check ---------------------------------------------------------------
 
 
-def gradient_check(variant: str = "sbcm", seed: int = 0, epsilon: float = 1e-6):
+FD_EPSILON = 1e-6  # step of gradient_check's central finite differences
+
+
+def gradient_check(variant: str = "sbcm", seed: int = 0):
     """Backpropagated vs central-finite-difference gradients on a tiny model.
 
     Builds a small synthetic problem, evaluates the full composite loss with
@@ -200,12 +198,12 @@ def gradient_check(variant: str = "sbcm", seed: int = 0, epsilon: float = 1e-6):
             flat = p.data.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + epsilon
+                flat[i] = orig + FD_EPSILON
                 up = loss_value()
-                flat[i] = orig - epsilon
+                flat[i] = orig - FD_EPSILON
                 down = loss_value()
                 flat[i] = orig
-                fd = (up - down) / (2.0 * epsilon)
+                fd = (up - down) / (2.0 * FD_EPSILON)
                 g = grad.reshape(-1)[i]
                 denom = max(abs(fd) + abs(g), 1e-8)
                 worst = max(worst, float(abs(fd - g) / denom))

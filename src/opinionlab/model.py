@@ -19,6 +19,7 @@ data-fitted network (the ablation arm).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -43,6 +44,12 @@ ODE_LEAVES = {
 
 PROB_FLOOR = 1e-12
 
+GUMBEL_TAU = 0.5  # Gumbel-Softmax temperature (fixed)
+
+# Raw (pre-softplus) initial values of the bcm confidence bound and sigmoid slope.
+INIT_RAW_DELTA = float(np.log(np.expm1(0.5)))
+INIT_RAW_GAMMA = float(np.log(np.expm1(10.0)))
+
 
 class TrainingDiverged(RuntimeError):
     """A loss term became non-finite during optimization."""
@@ -61,26 +68,21 @@ class TrainConfig:
     batch_size: int = 128
     learning_rate: float = 0.001
     seed: int = 0
-    bcm_gamma: float = 10.0      # initial sigmoid slope
-    bcm_delta: float = 0.5       # initial confidence bound
-    gumbel_tau: float = 0.5      # Gumbel-Softmax temperature (fixed)
-    sbcm_rho: float = 0.0        # initial partner-choice exponent
     embed_dim: int = 32
-    max_profile_len: int = 25
-    freeze_ode: bool = False
-    horizon: float | None = None  # defaults to the dataset horizon
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        for name in ("alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("collocation", "epochs", "batch_size", "latent_dim", "num_layers", "width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.gumbel_tau <= 0:
-            raise ValueError("gumbel_tau must be positive")
+        for name in ("num_layers", "width", "latent_dim", "collocation", "epochs", "batch_size",
+                     "embed_dim", "seed"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, bound in (("alpha", ">= 0"), ("beta", ">= 0"), ("learning_rate", "> 0")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 <= value <= sys.float_info.max or (bound == "> 0" and value == 0)):
+                raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -146,7 +148,6 @@ class OdeParams:
     def __init__(self, variant: str, num_users: int, config: TrainConfig, rng: np.random.Generator,
                  innate: np.ndarray | None = None):
         self.variant = variant
-        self.tau = config.gumbel_tau
         if variant == "degroot":
             scale = 0.1 / np.sqrt(config.latent_dim)
             self.m_factors = Tensor(rng.standard_normal((num_users, config.latent_dim)) * scale,
@@ -157,10 +158,10 @@ class OdeParams:
             self.raw_s = Tensor(np.zeros(num_users), requires_grad=True)
             self.innate = np.zeros(num_users) if innate is None else np.asarray(innate, dtype=float)
         elif variant == "bcm":
-            self.raw_delta = Tensor(np.array(_softplus_inv(config.bcm_delta)), requires_grad=True)
-            self.raw_gamma = Tensor(np.array(_softplus_inv(config.bcm_gamma)), requires_grad=True)
+            self.raw_delta = Tensor(np.array(INIT_RAW_DELTA), requires_grad=True)
+            self.raw_gamma = Tensor(np.array(INIT_RAW_GAMMA), requires_grad=True)
         elif variant == "sbcm":
-            self.rho = Tensor(np.array(float(config.sbcm_rho)), requires_grad=True)
+            self.rho = Tensor(np.array(0.0), requires_grad=True)
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -177,7 +178,7 @@ class OdeParams:
         return _softplus(self.raw_gamma)
 
     def to_dict(self) -> dict:
-        doc = {"variant": self.variant, "tau": self.tau}
+        doc = {"variant": self.variant}
         for name in ODE_LEAVES[self.variant]:
             doc[name] = getattr(self, name).data.tolist()
         if self.variant == "fj":
@@ -197,10 +198,6 @@ class OdeParams:
 
 def _softplus(x):
     return ad.log(1.0 + ad.exp(x))
-
-
-def _softplus_inv(y: float) -> float:
-    return float(np.log(np.expm1(y)))
 
 
 class SinnModel:
@@ -226,10 +223,8 @@ class SinnModel:
         self._no_profiles = not encoding.masks.any()
 
     def parameters(self) -> list[Tensor]:
-        params = self.fnn.parameters() + [self.head_w, self.head_b] + self.attention.parameters()
-        if not self.config.freeze_ode:
-            params += self.ode.parameters()
-        return params
+        return (self.fnn.parameters() + [self.head_w, self.head_b] + self.attention.parameters()
+                + self.ode.parameters())
 
     def encode_users(self):
         """(U, embed_dim) profile representations; Tensor during training.
@@ -299,18 +294,16 @@ def predict(model: SinnModel, user_id: int, t_star: float,
     """
     encoding = None
     if profiles is not None:
-        encoding = CorpusEncoding(profiles, model.num_users, model.encoding.table,
-                                  max_len=model.config.max_profile_len)
+        encoding = CorpusEncoding(profiles, model.num_users, model.encoding.table)
     return model.predict_proba([user_id], [t_star], encoding)[0]
 
 
 def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: TrainConfig) -> SinnModel:
     rng = np.random.default_rng(config.seed)
     num_users, num_classes = train_ds.num_users, train_ds.num_classes
-    horizon = config.horizon if config.horizon is not None else train_ds.horizon
 
     table = EmbeddingTable.from_corpus(profiles, dim=config.embed_dim, seed=config.seed)
-    encoding = CorpusEncoding(profiles, num_users, table, max_len=config.max_profile_len)
+    encoding = CorpusEncoding(profiles, num_users, table)
     attention = AttentionParams.init(config.embed_dim, seed=config.seed + 1)
 
     input_dim = 1 + num_users + config.embed_dim
@@ -325,7 +318,7 @@ def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: Train
         innate[anchored] = label_to_continuous(train_ds.labels()[first], num_classes)
     ode = OdeParams(config.variant, num_users, config, rng, innate=innate)
     return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
-                     num_users, num_classes, horizon, config)
+                     num_users, num_classes, train_ds.horizon, config)
 
 
 # ----- losses -------------------------------------------------------------------
@@ -360,7 +353,7 @@ def ode_rhs_all(model: SinnModel, x_hat, noise=None):
     probs = sbcm_partner_matrix(x_hat, ode.rho)
     if noise is None:
         raise ValueError("the stochastic variant needs Gumbel noise")
-    z_tilde = gumbel_softmax(probs, ode.tau, noise)
+    z_tilde = gumbel_softmax(probs, GUMBEL_TAU, noise)
     return sbcm_rhs_all(x_hat, z_tilde)
 
 
@@ -523,6 +516,7 @@ def save_model(model: SinnModel, path):
         "head_b": model.head_b.data.tolist(),
         "context": model.attention.context.data.tolist(),
         "ode": model.ode.to_dict(),
+        "vocabulary": sorted(model.encoding.table.vocabulary),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -576,12 +570,14 @@ def _checkpoint_config(doc: dict) -> TrainConfig:
 
 
 def load_model(path, profiles: ProfileCorpus) -> SinnModel:
-    """Rebuild a model from a checkpoint plus the profile corpus it used.
+    """Rebuild a model from a checkpoint plus the profile corpus to encode.
 
-    A missing field, a section that is not an object, a config key that
-    TrainConfig does not know, or an array whose shape does not fit the
-    checkpoint's `num_users`, `num_classes` and `config` raises ValueError
-    naming the field.
+    The embedding table is rebuilt from the checkpoint's vocabulary, so the
+    corpus supplies only each user's profile text.  A missing field, a
+    section that is not an object, a config key that TrainConfig does not
+    know, or an array whose shape does not fit the checkpoint's
+    `num_users`, `num_classes` and `config` raises ValueError naming the
+    field.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -592,8 +588,12 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
                               for key in ("num_users", "num_classes"))
     horizon = _checkpoint_number(doc, "horizon", integer=False)
 
-    table = EmbeddingTable.from_corpus(profiles, dim=config.embed_dim, seed=config.seed)
-    encoding = CorpusEncoding(profiles, num_users, table, max_len=config.max_profile_len)
+    words = _checkpoint_field(doc, "vocabulary")
+    if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
+            and words == sorted(set(words))):
+        raise ValueError("checkpoint field 'vocabulary' must be a sorted list of distinct words")
+    table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
+    encoding = CorpusEncoding(profiles, num_users, table)
     context = _checkpoint_field(doc, "context")
     attention = AttentionParams(_checkpoint_array(context, "context", (config.embed_dim,)))
     layout = network.init_params(config.num_layers, config.width,

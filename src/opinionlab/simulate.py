@@ -24,16 +24,15 @@ DISTANCE_EPS = 1e-6
 # Consensus needs the attractive pull toward the partner; polarization and
 # clustering rely on the additive rule, which is sign-reinforcing under
 # homophily (like-minded partners push each other further out) when the
-# initial opinions straddle zero.  The *-appx variants use the alternative
-# exponents quoted for the same regimes elsewhere.
+# initial opinions straddle zero.
 PRESETS = {
     "consensus": {"rho": -1.0, "update_rule": "attractive"},
     "polarization": {"rho": 0.5, "update_rule": "additive"},
     "clustering": {"rho": 0.05, "update_rule": "additive"},
-    "consensus-appx": {"rho": -1.0, "update_rule": "attractive"},
-    "polarization-appx": {"rho": 1.0, "update_rule": "additive"},
-    "clustering-appx": {"rho": 0.1, "update_rule": "additive"},
 }
+
+CLUSTER_BIN_WIDTH = 0.1  # cluster_summary's histogram bin width on the opinion axis
+CLUSTER_MIN_FRAC = 0.02  # share of users that makes a bin occupied
 
 
 def preset_config(name: str, **overrides) -> "SbcmGenConfig":
@@ -92,25 +91,25 @@ class InteractionLog:
         self.entries.append((step, initiator, partner))
 
 
-def interaction_weights(distances, rho, eps: float = DISTANCE_EPS):
-    """Unnormalized partner weights max(d, eps)^(-rho).
+def interaction_weights(distances, rho):
+    """Unnormalized partner weights max(d, DISTANCE_EPS)^(-rho).
 
     Works on ndarrays and on autodiff Tensors (rho may be a Tensor too),
     so the simulator and the differentiable training path share one kernel.
     """
-    return ad.exp(ad.log(ad.maximum(distances, eps)) * (-1.0 * rho))
+    return ad.exp(ad.log(ad.maximum(distances, DISTANCE_EPS)) * (-1.0 * rho))
 
 
-def sbcm_partner_probs(opinions, u: int, rho, eps: float = DISTANCE_EPS):
+def sbcm_partner_probs(opinions, u: int, rho):
     """Probability of user `u` picking each partner; entry u is zero."""
     opinions = np.asarray(opinions, dtype=float)
     if opinions.size < 2:
         raise ValueError("need at least two users")
-    w = interaction_weights(np.abs(opinions[u] - opinions), rho, eps)
+    w = interaction_weights(np.abs(opinions[u] - opinions), rho)
     w[u] = 0.0
     return w / w.sum()
 
-def sbcm_partner_matrix(opinions, rho, eps: float = DISTANCE_EPS):
+def sbcm_partner_matrix(opinions, rho):
     """Row-stochastic matrix of partner probabilities, zero diagonal.
 
     Accepts an ndarray or a Tensor of opinions shaped (U,), giving a (U, U)
@@ -119,7 +118,7 @@ def sbcm_partner_matrix(opinions, rho, eps: float = DISTANCE_EPS):
     """
     *lead, n = opinions.shape
     dist = ad.absolute(opinions.reshape(*lead, n, 1) - opinions.reshape(*lead, 1, n))
-    w = interaction_weights(dist, rho, eps)
+    w = interaction_weights(dist, rho)
     off_diag = 1.0 - np.eye(n)
     w = w * off_diag
     return w / w.sum(axis=-1, keepdims=True)
@@ -194,18 +193,18 @@ def generate_degroot_dataset(num_users: int, num_steps: int, weights: np.ndarray
 # ----- regime diagnostics and file export -------------------------------------
 
 
-def cluster_summary(opinions: np.ndarray, bin_width: float = 0.1, min_frac: float = 0.02):
+def cluster_summary(opinions: np.ndarray):
     """Locate opinion clusters as runs of occupied histogram bins.
 
     Returns (cluster centers, max gap between adjacent centers).  A bin
-    counts as occupied when it holds at least `min_frac` of the users.
+    counts as occupied when it holds at least CLUSTER_MIN_FRAC of the users.
     """
     opinions = np.asarray(opinions)
     lo = min(-1.0, opinions.min())
     hi = max(1.0, opinions.max())
-    nbins = int(np.ceil((hi - lo) / bin_width))
-    counts, edges = np.histogram(opinions, bins=nbins, range=(lo, lo + nbins * bin_width))
-    occupied = counts >= max(1, int(np.ceil(min_frac * opinions.size)))
+    nbins = int(np.ceil((hi - lo) / CLUSTER_BIN_WIDTH))
+    counts, edges = np.histogram(opinions, bins=nbins, range=(lo, lo + nbins * CLUSTER_BIN_WIDTH))
+    occupied = counts >= max(1, int(np.ceil(CLUSTER_MIN_FRAC * opinions.size)))
     centers = []
     run_idx = []
     for i, occ in enumerate(occupied):

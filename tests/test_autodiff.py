@@ -212,7 +212,7 @@ class TestAdam:
             x_ref -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
 
         p = Tensor(x0.copy(), requires_grad=True)
-        opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt = Adam([p], lr=lr)
         for g in grads:
             p.grad = g.copy()
             opt.step()

@@ -1,13 +1,20 @@
 """End-to-end command-line interface behavior."""
 
 import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinionlab import cli
 from opinionlab.cli import CliError, load_run_config, main, parse_axes
 from opinionlab.data import OpinionDataset, ProfileCorpus, save_dataset, save_profiles
+from opinionlab.harness import config_hash
+from opinionlab.model import VARIANTS, TrainConfig
 
 
 @pytest.fixture
@@ -54,6 +61,47 @@ class TestRunConfig:
         _, cfg_path = workspace
         doc = load_run_config(cfg_path)
         assert doc["train"]["epochs"] == 2
+
+    def test_key_lists_match_train_config(self):
+        assert not cli.MODEL_KEYS & cli.TRAIN_KEYS
+        assert cli.MODEL_KEYS | cli.TRAIN_KEYS == {f.name for f in fields(TrainConfig)}
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=5)
+CONFIG_KEYS = st.sampled_from(sorted(cli.MODEL_KEYS | cli.TRAIN_KEYS)) | st.text(max_size=4)
+SECTIONS = st.dictionaries(CONFIG_KEYS, st.integers(-2, 4) | st.floats() | st.sampled_from(VARIANTS)
+                           | JSON_VALUES, max_size=8)
+RUN_CONFIGS = JSON_VALUES | st.dictionaries(st.sampled_from(["model", "train"]) | st.text(max_size=4),
+                                            SECTIONS | JSON_VALUES, max_size=3)
+
+
+def assert_valid_config(config):
+    """Every TrainConfig field within the range the README documents."""
+    for f in fields(TrainConfig):
+        value = getattr(config, f.name)
+        if f.type == "int":
+            assert type(value) is int and value >= (0 if f.name == "seed" else 1), f.name
+        elif f.type == "float":
+            assert type(value) in (int, float) and math.isfinite(value) and value >= 0, f.name
+            assert f.name != "learning_rate" or value > 0
+        else:
+            assert value in VARIANTS
+
+
+class TestRunConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(RUN_CONFIGS)
+    def test_loads_valid_config_or_raises_cli_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                config = cli._train_config(load_run_config(path))
+            except CliError:
+                return
+        assert_valid_config(config)
 
 
 class TestParseAxes:
@@ -123,6 +171,23 @@ class TestTrainCommand:
         rules = [json.loads((tmp_path / d / "metrics.json").read_text())["selection"] for d in "ab"]
         assert rules == ["best_val_macro_f1", "last_epoch"]
 
+    @pytest.mark.parametrize("section, key, value", [
+        pytest.param("train", "alpha", float("nan"), id="alpha_nan"),
+        pytest.param("train", "learning_rate", -1.0, id="learning_rate_negative"),
+        pytest.param("train", "epochs", 2.5, id="epochs_fraction"),
+        pytest.param("train", "batch_size", 1.5, id="batch_size_fraction"),
+        pytest.param("model", "width", 2.0, id="width_float"),
+    ])
+    def test_invalid_value_is_error(self, workspace, capsys, section, key, value):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad model/train configuration") and key in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_dataset_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": {"dataset": str(tmp_path / "nope.jsonl")}}))
@@ -188,6 +253,36 @@ class TestGridsearchCommand:
         assert (out / "leaderboard.csv").exists()
         printed = json.loads(capsys.readouterr().out.strip())
         assert printed["cells"] == 2
+        assert printed["failed"] == {}
+
+    def test_failed_cell_reported(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace
+        real_run = cli.harness.run_cell
+
+        def flaky(splits, profiles, config, cache_dir=None):
+            if config.variant == "bcm":
+                raise RuntimeError("boom")
+            return real_run(splits, profiles, config, cache_dir)
+
+        monkeypatch.setattr(cli.harness, "run_cell", flaky)
+        code = main(["gridsearch", "--config", str(cfg_path),
+                     "--axes", "variant=bcm,fj", "--out", str(tmp_path / "grid")])
+        assert code == 0
+        printed = json.loads(capsys.readouterr().out.strip())
+        doc = load_run_config(cfg_path)
+        bcm = cli._train_config({**doc, "model": {**doc["model"], "variant": "bcm"}})
+        assert printed["cells"] == 1
+        assert printed["failed"] == {config_hash(bcm): "RuntimeError: boom"}
+
+    def test_all_cells_failed_is_error(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace
+        monkeypatch.setattr(cli.harness, "run_cell",
+                            lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
+        code = main(["gridsearch", "--config", str(cfg_path),
+                     "--axes", "variant=fj", "--out", str(tmp_path / "grid")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "every grid cell failed" in err and "RuntimeError: boom" in err
 
     def test_empty_validation_split_refused_before_training(self, workspace, capsys, monkeypatch):
         tmp_path, cfg_path = workspace

@@ -7,6 +7,7 @@ from opinionlab import encoder
 from opinionlab.autodiff import Tensor
 from opinionlab.data import ProfileCorpus
 from opinionlab.encoder import (
+    MAX_PROFILE_LEN,
     PAD,
     AttentionParams,
     CorpusEncoding,
@@ -28,23 +29,20 @@ class TestTokenize:
         assert tokenize("!!! ???") == []
 
     def test_pad_and_mask(self):
-        tokens, mask = tokenize_and_pad("one two", max_len=4)
-        assert tokens == ["one", "two", PAD, PAD]
-        np.testing.assert_array_equal(mask, [1, 1, 0, 0])
+        tokens, mask = tokenize_and_pad("one two")
+        assert tokens == ["one", "two"] + [PAD] * (MAX_PROFILE_LEN - 2)
+        np.testing.assert_array_equal(mask, [1, 1] + [0] * (MAX_PROFILE_LEN - 2))
 
     def test_truncation(self):
-        tokens, mask = tokenize_and_pad("a b c d e", max_len=3)
-        assert tokens == ["a", "b", "c"]
-        np.testing.assert_array_equal(mask, [1, 1, 1])
+        words = [f"w{i}" for i in range(MAX_PROFILE_LEN + 5)]
+        tokens, mask = tokenize_and_pad(" ".join(words))
+        assert tokens == words[:MAX_PROFILE_LEN]
+        np.testing.assert_array_equal(mask, np.ones(MAX_PROFILE_LEN))
 
     def test_empty_text_all_pad(self):
-        tokens, mask = tokenize_and_pad("", max_len=3)
-        assert tokens == [PAD] * 3
+        tokens, mask = tokenize_and_pad("")
+        assert tokens == [PAD] * MAX_PROFILE_LEN
         assert mask.sum() == 0
-
-    def test_max_len_validation(self):
-        with pytest.raises(ValueError):
-            tokenize_and_pad("x", max_len=0)
 
 
 class TestEmbeddingTable:
@@ -155,7 +153,7 @@ class TestUserEncoding:
 
     def encode_one(self, user_id):
         """One user's representation, composed step by step."""
-        tokens, mask = tokenize_and_pad(self.corpus.get(user_id), max_len=25)
+        tokens, mask = tokenize_and_pad(self.corpus.get(user_id))
         return attention_pool(self.table.embed(tokens), mask, self.params.context)
 
     def test_empty_profile_is_zero_vector(self):

@@ -66,8 +66,30 @@ class TestConfig:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(gumbel_tau=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("epochs", 2.5, id="epochs_fraction"),
+        pytest.param("width", 2.0, id="width_float"),
+        pytest.param("num_layers", True, id="num_layers_bool"),
+        pytest.param("batch_size", np.int64(8), id="batch_size_numpy"),
+        pytest.param("embed_dim", 0, id="embed_dim_zero"),
+        pytest.param("seed", -1, id="seed_negative"),
+        pytest.param("seed", "0", id="seed_text"),
+        pytest.param("alpha", float("nan"), id="alpha_nan"),
+        pytest.param("beta", float("inf"), id="beta_inf"),
+        pytest.param("alpha", 10**400, id="alpha_huge_int"),
+        pytest.param("beta", False, id="beta_bool"),
+        pytest.param("learning_rate", -1.0, id="learning_rate_negative"),
+        pytest.param("learning_rate", 0, id="learning_rate_zero"),
+        pytest.param("learning_rate", [0.1], id="learning_rate_list"),
+    ])
+    def test_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        cfg = TrainConfig(seed=0, alpha=0, beta=0.0, learning_rate=1, collocation=1)
+        assert (cfg.alpha, cfg.learning_rate) == (0, 1)
 
 
 # ----- scalar ODE right-hand sides ---------------------------------------------
@@ -215,7 +237,7 @@ class TestGumbelSoftmax:
 
 class TestOdeParams:
     def test_reparameterized_initial_values(self):
-        cfg = TrainConfig(variant="bcm", bcm_delta=0.5, bcm_gamma=10.0)
+        cfg = TrainConfig(variant="bcm")
         params = OdeParams("bcm", 4, cfg, np.random.default_rng(0))
         assert params.delta().item() == pytest.approx(0.5)
         assert params.gamma().item() == pytest.approx(10.0)
@@ -446,15 +468,6 @@ class TestTraining:
         assert any(not np.array_equal(a.data, b.data)
                    for a, b in zip(short.parameters(), long.parameters()))
 
-    def test_freeze_ode_keeps_dynamics_parameters(self):
-        ds = tiny_dataset()
-        splits = chronological_split(ds, SplitSpec(0.6, 0.4, 0.0))
-        cfg = TrainConfig(variant="degroot", epochs=3, num_layers=1, width=3,
-                          embed_dim=4, seed=0, freeze_ode=True)
-        m, _ = train(splits, tiny_profiles(), cfg)
-        fresh = build_model(splits[0], tiny_profiles(), cfg)
-        np.testing.assert_array_equal(m.ode.m_factors.data, fresh.ode.m_factors.data)
-
 
 def assert_load_names_field(tmp_path, variant, edit, field):
     """A saved checkpoint changed by `edit` fails to load with ValueError naming `field`."""
@@ -545,7 +558,10 @@ class TestPredictAndCheckpoint:
         pytest.param("degroot", lambda d: d["ode"].pop("q_factors"), "ode.q_factors", id="ode_lacks_q"),
         *[pytest.param("sbcm", lambda d, key=key: d.pop(key), key, id=f"lacks_{key}")
           for key in ("config", "num_users", "num_classes", "horizon", "fnn", "head_w", "head_b",
-                      "context", "ode")],
+                      "context", "ode", "vocabulary")],
+        pytest.param("sbcm", lambda d: d["vocabulary"].reverse(), "vocabulary", id="vocabulary_unsorted"),
+        pytest.param("sbcm", lambda d: d["vocabulary"].append(7), "vocabulary", id="vocabulary_number"),
+        pytest.param("sbcm", lambda d: d.update(vocabulary="text"), "vocabulary", id="vocabulary_text"),
         pytest.param("sbcm", lambda d: d["fnn"].pop("biases"), "fnn.biases", id="fnn_lacks_biases"),
         pytest.param("sbcm", lambda d: d.update(fnn=[]), "fnn", id="fnn_list"),
         pytest.param("sbcm", lambda d: d["config"].update(warp_speed=True), "config", id="config_unknown_key"),
@@ -564,6 +580,20 @@ class TestPredictAndCheckpoint:
     ])
     def test_load_rejects_malformed(self, tmp_path, variant, edit, field):
         assert_load_names_field(tmp_path, variant, edit, field)
+
+    def test_load_keeps_saved_vocabulary(self, tmp_path):
+        """Editing one user's profile after saving changes only that user's
+        predictions: the checkpoint pins the embedding table."""
+        ds = tiny_dataset()
+        m = build_model(ds, tiny_profiles(), TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0))
+        path = tmp_path / "checkpoint.json"
+        save_model(m, path)
+        edited = ProfileCorpus({**tiny_profiles().descriptions, 0: "aardvark text"})
+        loaded = load_model(path, edited)
+        others = ds.users() != 0
+        users, times = ds.users()[others], ds.times()[others]
+        np.testing.assert_array_equal(loaded.predict_proba(users, times), m.predict_proba(users, times))
+        assert not np.array_equal(loaded.predict_proba([0], [1.0]), m.predict_proba([0], [1.0]))
 
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "checkpoint.json"

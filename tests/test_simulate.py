@@ -160,13 +160,17 @@ class TestSbcmStep:
             assert step == 0
             assert u != v
 
-    @pytest.mark.parametrize("preset", sorted(simulate.PRESETS))
+    @pytest.mark.parametrize("preset, rho", [
+        *[pytest.param(name, None, id=name) for name in sorted(simulate.PRESETS)],
+        pytest.param("polarization", 1.0, id="polarization-rho1.0"),
+        pytest.param("clustering", 0.1, id="clustering-rho0.1"),
+    ])
     @pytest.mark.parametrize("seed", [0, 1, 13])
-    def test_partner_draw_matches_rng_choice(self, preset, seed):
+    def test_partner_draw_matches_rng_choice(self, preset, rho, seed):
         """The direct draw consumes the same stream as rng.choice: equal
         trajectories and interaction logs, bit for bit."""
         config = preset_config(preset, num_users=60, num_steps=80, initiators_per_step=8,
-                               seed=seed)
+                               seed=seed, **({} if rho is None else {"rho": rho}))
         trajectory, log = run_generator(config, step_sbcm_choice)
         _, gen_log, gen_trajectory = generate_sbcm_dataset(config)
         np.testing.assert_array_equal(gen_trajectory, trajectory)
@@ -270,8 +274,7 @@ class TestPresets:
         assert preset_config("consensus").update_rule == "attractive"
         assert preset_config("polarization").rho == 0.5
         assert preset_config("clustering").rho == 0.05
-        assert preset_config("polarization-appx").rho == 1.0
-        assert preset_config("clustering-appx").rho == 0.1
+        assert sorted(simulate.PRESETS) == ["clustering", "consensus", "polarization"]
 
     def test_preset_overrides(self):
         cfg = preset_config("consensus", num_users=30, seed=3)
