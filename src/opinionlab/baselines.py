@@ -24,7 +24,6 @@ class RegularSeries:
     values: np.ndarray      # (U, S)
     t_start: float
     dt: float
-    users_without_posts: tuple[int, ...] = ()
 
     @property
     def t_end(self) -> float:
@@ -66,8 +65,8 @@ def default_grid_dt(dataset: OpinionDataset) -> float:
 def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> RegularSeries:
     """Forward-fill label midpoints onto a uniform grid over the data span.
 
-    Users with no posts are kept in the matrix (at opinion 0) but reported
-    in ``users_without_posts`` so callers can exclude them.
+    Users with no posts are kept in the matrix at opinion 0, so the
+    baselines score them as holding the neutral opinion.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
@@ -91,8 +90,7 @@ def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> 
     latest = np.where(latest < 0, first[:, None], latest)
     post_values = label_to_continuous(dataset.labels(), dataset.num_classes)
     values = np.where(latest >= 0, post_values[latest], 0.0)
-    missing = tuple(np.flatnonzero(first < 0).tolist())
-    return RegularSeries(values, t_start, float(grid_dt), missing)
+    return RegularSeries(values, t_start, float(grid_dt))
 
 
 # ----- voter ---------------------------------------------------------------------

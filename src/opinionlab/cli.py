@@ -72,6 +72,29 @@ def _train_config(doc: dict, seed_override=None) -> TrainConfig:
         raise CliError(f"bad model/train configuration: {err}") from err
 
 
+def _sim_config(doc: dict, preset=None, seed=None):
+    """(preset, SbcmGenConfig, num_classes) from the "sim" section; a preset
+    or seed given on the command line overrides the section's."""
+    sim = dict(doc.get("sim", {}))
+    preset = preset or sim.get("preset")
+    sim.pop("preset", None)
+    num_classes = sim.pop("num_classes", 5)
+    if preset is not None:
+        if preset not in sorted(simulate.PRESETS):  # a list: the section's preset may be unhashable
+            raise CliError(f"unknown preset {preset!r}; choose from {sorted(simulate.PRESETS)}")
+        sim.update(simulate.PRESETS[preset])
+    if seed is not None:
+        sim["seed"] = seed
+    if isinstance(sim.get("init_range"), list):
+        sim["init_range"] = tuple(sim["init_range"])
+    try:
+        if type(num_classes) is not int or num_classes < 2:
+            raise ValueError(f"num_classes must be an integer >= 2, got {num_classes!r}")
+        return preset, simulate.SbcmGenConfig(**sim), num_classes
+    except (TypeError, ValueError) as err:
+        raise CliError(f"bad sim configuration: {err}") from err
+
+
 def _load_data(doc: dict):
     data = doc.get("data", {})
     if "dataset" not in data:
@@ -113,27 +136,10 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    sim = {}
-    if args.config:
-        sim = dict(load_run_config(args.config).get("sim", {}))
-    preset = args.preset or sim.pop("preset", None)
-    num_classes = int(sim.pop("num_classes", 5))
-    if preset is not None:
-        if preset not in simulate.PRESETS:
-            raise CliError(f"unknown preset {preset!r}; choose from {sorted(simulate.PRESETS)}")
-        sim.update(simulate.PRESETS[preset])
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    if "init_range" in sim:
-        sim["init_range"] = tuple(sim["init_range"])
-    try:
-        config = simulate.SbcmGenConfig(**sim)
-    except (TypeError, ValueError) as err:
-        raise CliError(f"bad sim configuration: {err}") from err
-
-    dataset, log, trajectory = simulate.generate_sbcm_dataset(config)
-    if num_classes != 5:
-        dataset = simulate.trajectory_to_dataset(trajectory, num_classes)
+    doc = load_run_config(args.config) if args.config else {}
+    preset, config, num_classes = _sim_config(doc, args.preset, args.seed)
+    _, log, trajectory = simulate.generate_sbcm_dataset(config)
+    dataset = simulate.trajectory_to_dataset(trajectory, num_classes)
     out = _out_dir(args)
     save_dataset(dataset, out / "dataset.jsonl")
     simulate.save_trajectory_csv(trajectory, out / "trajectory.csv")
@@ -243,7 +249,7 @@ def cmd_gridsearch(args) -> int:
     out = _out_dir(args)
     try:
         leaderboard, failed = harness.grid_search(splits, profiles, harness.GridSpec(axes), base,
-                                                  cache_dir=out / "runs", jobs=args.jobs)
+                                                  cache_dir=out / "runs")
     except harness.AllCellsFailed as err:
         raise CliError(str(err)) from err
     harness.leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
@@ -259,6 +265,8 @@ def cmd_gridsearch(args) -> int:
 def cmd_ablate(args) -> int:
     doc = load_run_config(args.config)
     _, profiles, splits = _load_data(doc)
+    if len(splits[2]) == 0:
+        raise CliError("the ablation scores the test split, which is empty")
     config = _train_config(doc)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
@@ -279,10 +287,8 @@ def cmd_gradcheck(args) -> int:
     variants = [args.variant] if args.variant else list(model_mod.VARIANTS)
     seed = args.seed if args.seed is not None else 0
     worst = 0.0
-    report = {}
     for variant in variants:
         errors = harness.gradient_check(variant, seed=seed)
-        report[variant] = errors
         for group, err in errors.items():
             print(f"{variant}/{group}: max rel err {err:.3e}")
             worst = max(worst, err)
@@ -351,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="train every cell of a hyperparameter grid")
     p.add_argument("--config", required=True)
     p.add_argument("--axes", help="e.g. 'alpha=0.1,1.0;width=8,16' (default: full grid)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gridsearch)

@@ -1,7 +1,8 @@
 """Grid search, ablation runner, and comparison-table generation.
 
-Grid cells are trained independently and cached on disk under a hash of
-their configuration, so an interrupted search resumes without retraining.
+Grid cells and ablation arms train in one process pool, one worker per
+usable core.  Grid cells are cached on disk under a hash of their
+configuration, so an interrupted search resumes without retraining.
 Ranking is by validation macro-F1 with ties broken by cell index.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -71,43 +73,45 @@ def evaluate_model(trained, dataset_split: OpinionDataset) -> Metrics:
 
 
 def run_cell(splits, profiles: ProfileCorpus, config: TrainConfig, cache_dir: Path | None = None):
-    """Train one configuration, reading/writing the on-disk cache."""
+    """Train one configuration and score it on each non-empty split of
+    (val, test), reading/writing the on-disk cache when `cache_dir` is set."""
     h = config_hash(config)
-    cache_file = None
-    if cache_dir is not None:
-        cache_file = Path(cache_dir) / h / "metrics.json"
-        if cache_file.exists():
-            with open(cache_file, encoding="utf-8") as fh:
-                return json.load(fh)
+    run_dir = None if cache_dir is None else Path(cache_dir) / h
+    if run_dir is not None and (run_dir / "metrics.json").exists():
+        with open(run_dir / "metrics.json", encoding="utf-8") as fh:
+            return json.load(fh)
 
     trained, history = train(splits, profiles, config)
-    val = evaluate_model(trained, splits[1])
-    result = {"hash": h, "val_acc": val.accuracy, "val_f1": val.macro_f1}
-    if len(splits) > 2 and len(splits[2]) > 0:
-        test = evaluate_model(trained, splits[2])
-        result["test_acc"] = test.accuracy
-        result["test_f1"] = test.macro_f1
-    if cache_dir is not None:
-        run_dir = Path(cache_dir) / h
+    result = {"hash": h}
+    for name, split in (("val", splits[1]), ("test", splits[2])):
+        if len(split) > 0:
+            metrics = evaluate_model(trained, split)
+            result.update({f"{name}_acc": metrics.accuracy, f"{name}_f1": metrics.macro_f1})
+    if run_dir is not None:
         run_dir.mkdir(parents=True, exist_ok=True)
         model_mod.save_model(trained, run_dir / "checkpoint.json")
         model_mod.history_to_csv(history, run_dir / "history.csv")
-        with open(cache_file, "w", encoding="utf-8") as fh:
+        with open(run_dir / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(result, fh, sort_keys=True)
     return result
 
 
-def _run_cell_worker(args):
-    splits, profiles, config_doc, cache_dir = args
-    config = TrainConfig.from_dict(config_doc)
+def _run_job(job):
+    """(run_cell(*job), None), or (None, the exception it raised)."""
     try:
-        return config_hash(config), run_cell(splits, profiles, config, cache_dir), None
-    except Exception as err:  # cell failures are recorded, the search continues
-        return config_hash(config), None, f"{type(err).__name__}: {err}"
+        return run_cell(*job), None
+    except Exception as err:  # the caller decides whether a failure stops the set
+        return None, err
+
+
+def _run_jobs(jobs):
+    """`_run_job` over `jobs` in a pool of one worker per job, at most one per usable core."""
+    with ProcessPoolExecutor(max_workers=min(len(jobs), len(os.sched_getaffinity(0))) or 1) as pool:
+        return list(pool.map(_run_job, jobs))
 
 
 def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: TrainConfig,
-                cache_dir=None, jobs: int = 1):
+                cache_dir=None):
     """Train every grid cell; returns (leaderboard, failed).
 
     The leaderboard holds the scored cells ordered by validation macro-F1
@@ -115,23 +119,14 @@ def grid_search(splits, profiles: ProfileCorpus, spec: GridSpec, base_config: Tr
     first entry is the best cell.  `failed` maps the config hash of each
     cell that raised to its "{Type}: {message}".
     """
-    base = base_config.to_dict()
-    configs = []
-    for overrides in GridSpec(spec.axes).cells():
-        doc = dict(base)
-        doc.update(overrides)
-        configs.append(TrainConfig.from_dict(doc))
-
-    work = [(splits, profiles, c.to_dict(), cache_dir) for c in configs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_cell_worker, work))
-    else:
-        outcomes = list(map(_run_cell_worker, work))
-    scored = [CellResult(i, config, h, res["val_acc"], res["val_f1"],
-                         res.get("test_acc"), res.get("test_f1"))
-              for i, (config, (h, res, err)) in enumerate(zip(configs, outcomes)) if err is None]
-    failed = {h: err for h, _, err in outcomes if err is not None}
+    if len(splits[1]) == 0:
+        raise ValueError("grid search ranks cells by validation F1, but the validation split is empty")
+    configs = [TrainConfig.from_dict({**base_config.to_dict(), **overrides}) for overrides in spec.cells()]
+    outcomes = _run_jobs([(splits, profiles, c, cache_dir) for c in configs])
+    scored = [CellResult(i, config, **res)
+              for i, (config, (res, err)) in enumerate(zip(configs, outcomes)) if err is None]
+    failed = {config_hash(config): f"{type(err).__name__}: {err}"
+              for config, (_, err) in zip(configs, outcomes) if err is not None}
     if not scored:
         raise AllCellsFailed(f"every grid cell failed: {failed}")
     return sorted(scored, key=lambda r: (-r.val_f1, r.index)), failed
@@ -215,32 +210,21 @@ def gradient_check(variant: str = "sbcm", seed: int = 0):
 
 
 def ablation_sinn_vs_nn(splits, profiles: ProfileCorpus, config: TrainConfig, seeds):
-    """Paired runs: full model vs the alpha=beta=0 arm with matched seeds.
-
-    Returns rows of per-seed test metrics plus a median row.
-    """
-    rows = []
-    full_acc, full_f1, nn_acc, nn_f1 = [], [], [], []
-    test_split = splits[2] if len(splits) > 2 else splits[1]
-    for seed in seeds:
-        cfg_full = TrainConfig.from_dict({**config.to_dict(), "seed": int(seed)})
-        cfg_nn = TrainConfig.from_dict({**config.to_dict(), "seed": int(seed),
-                                        "alpha": 0.0, "beta": 0.0})
-        trained_full, _ = train(splits, profiles, cfg_full)
-        trained_nn, _ = train(splits, profiles, cfg_nn)
-        m_full = evaluate_model(trained_full, test_split)
-        m_nn = evaluate_model(trained_nn, test_split)
-        rows.append({"seed": int(seed),
-                     "sinn_acc": m_full.accuracy, "sinn_f1": m_full.macro_f1,
-                     "nn_acc": m_nn.accuracy, "nn_f1": m_nn.macro_f1})
-        full_acc.append(m_full.accuracy)
-        full_f1.append(m_full.macro_f1)
-        nn_acc.append(m_nn.accuracy)
-        nn_f1.append(m_nn.macro_f1)
-    rows.append({"seed": "median",
-                 "sinn_acc": float(np.median(full_acc)), "sinn_f1": float(np.median(full_f1)),
-                 "nn_acc": float(np.median(nn_acc)), "nn_f1": float(np.median(nn_f1))})
-    return rows
+    """Paired runs: full model vs the alpha=beta=0 arm with matched seeds,
+    both scored on the test split.  Returns rows of per-seed test metrics
+    plus a median row; an arm that raised raises here."""
+    if len(splits[2]) == 0:
+        raise ValueError("the ablation scores the test split, which is empty")
+    rows = [{"seed": int(seed)} for seed in seeds]
+    arms = {"sinn": {}, "nn": {"alpha": 0.0, "beta": 0.0}}
+    jobs = [(splits, profiles, TrainConfig.from_dict({**config.to_dict(), "seed": row["seed"], **overrides}),
+             None) for row in rows for overrides in arms.values()]
+    for (row, arm), (res, err) in zip(product(rows, arms), _run_jobs(jobs)):
+        if err is not None:
+            raise err
+        row.update({f"{arm}_acc": res["test_acc"], f"{arm}_f1": res["test_f1"]})
+    return rows + [{"seed": "median", **{key: float(np.median([row[key] for row in rows]))
+                                         for key in ("sinn_acc", "sinn_f1", "nn_acc", "nn_f1")}}]
 
 
 # ----- baselines + comparison table --------------------------------------------------

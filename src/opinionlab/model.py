@@ -537,7 +537,7 @@ def _checkpoint_array(value, field: str, shape) -> np.ndarray:
     """`value` as a finite float array of `shape`, or ValueError naming `field`."""
     try:
         array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"checkpoint field {field!r} is not an array of numbers") from None
     if array.shape != tuple(shape):
         raise ValueError(f"checkpoint field {field!r} has shape {array.shape}, expected {tuple(shape)}")
@@ -551,7 +551,7 @@ def _checkpoint_number(doc: dict, key: str, integer: bool):
     value = _checkpoint_field(doc, key)
     if integer and type(value) is int and value > 0:
         return value
-    if not integer and type(value) in (int, float) and 0 <= value < float("inf"):
+    if not integer and type(value) in (int, float) and 0 <= value <= sys.float_info.max:
         return float(value)
     kind = "a positive integer" if integer else "a finite non-negative number"
     raise ValueError(f"checkpoint field {key!r} must be {kind}, got {value!r}")
@@ -577,7 +577,7 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     section that is not an object, a config key that TrainConfig does not
     know, or an array whose shape does not fit the checkpoint's
     `num_users`, `num_classes` and `config` raises ValueError naming the
-    field.
+    field, before anything is sized from `num_users` or the config.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -592,22 +592,21 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
             and words == sorted(set(words))):
         raise ValueError("checkpoint field 'vocabulary' must be a sorted list of distinct words")
-    table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
-    encoding = CorpusEncoding(profiles, num_users, table)
     context = _checkpoint_field(doc, "context")
     attention = AttentionParams(_checkpoint_array(context, "context", (config.embed_dim,)))
-    layout = network.init_params(config.num_layers, config.width,
-                                 1 + num_users + config.embed_dim, seed=0)
     arrays = {}
     for key in ("weights", "biases"):
         values = _checkpoint_field(_checkpoint_field(doc, "fnn"), key, "fnn")
-        shapes = [p.shape for p in getattr(layout, key)]
-        if not isinstance(values, list) or len(values) != len(shapes):
-            raise ValueError(f"checkpoint field 'fnn.{key}' must be a list of {len(shapes)} arrays")
+        if not isinstance(values, list) or len(values) != config.num_layers + 1:
+            raise ValueError(f"checkpoint field 'fnn.{key}' must be a list of {config.num_layers + 1} arrays")
+        dims = [1 + num_users + config.embed_dim] + [config.width] * config.num_layers + [1]
+        shapes = list(zip(dims, dims[1:])) if key == "weights" else [(d,) for d in dims[1:]]
         arrays[key] = [_checkpoint_array(v, f"fnn.{key}", shape) for v, shape in zip(values, shapes)]
     fnn = network.FnnParams(arrays["weights"], arrays["biases"])
     head_w, head_b = (Tensor(_checkpoint_array(_checkpoint_field(doc, key), key, (num_classes,)),
                              requires_grad=True) for key in ("head_w", "head_b"))
+    table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
+    encoding = CorpusEncoding(profiles, num_users, table)
     rng = np.random.default_rng(config.seed)
     ode = OdeParams(config.variant, num_users, config, rng)
     ode.load_dict(_checkpoint_field(doc, "ode"))

@@ -11,6 +11,7 @@ clustering of the population.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,14 +70,26 @@ class SbcmGenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_users < 2:
-            raise ValueError("need at least two users")
+        for name, least in (("num_users", 2), ("num_steps", 1), ("initiators_per_step", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.initiators_per_step > self.num_users:
             raise ValueError("more initiators than users")
-        if not 0 < self.mu <= 1:
-            raise ValueError("mu must be in (0, 1]")
+        if not (_finite(self.mu) and 0 < self.mu <= 1):
+            raise ValueError(f"mu must be a number in (0, 1], got {self.mu!r}")
+        if not _finite(self.rho):
+            raise ValueError(f"rho must be a finite number, got {self.rho!r}")
         if self.update_rule not in ("attractive", "additive"):
             raise ValueError(f"unknown update rule {self.update_rule!r}")
+        pair = self.init_range
+        if not (type(pair) is tuple and len(pair) == 2 and all(map(_finite, pair)) and pair[0] < pair[1]):
+            raise ValueError(f"init_range must be a finite pair (low, high) with low < high, got {pair!r}")
+
+
+def _finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass

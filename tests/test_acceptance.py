@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from opinionlab import baselines, model as model_mod, network, simulate
+from opinionlab import baselines, harness, model as model_mod, network, simulate
 from opinionlab.cli import main as cli_main
 from opinionlab.data import (
     OpinionDataset,
@@ -315,23 +315,15 @@ def test_criterion_6_ode_loss_trainability():
 
 def test_criterion_5_ablation_regularized_vs_plain():
     """Median test macro-F1 of the ODE-regularized model over 5 seeds is at
-    least that of the plain network (alpha=beta=0) on a consensus dataset."""
+    least that of the plain network (alpha=beta=0) on a consensus dataset.
+    The ten trainings run through the ablation runner's process pool."""
     cfg = simulate.preset_config("consensus", num_users=50, num_steps=100,
                                  initiators_per_step=5, seed=0)
     ds, _, _ = simulate.generate_sbcm_dataset(cfg)
     splits = chronological_split(ds, SplitSpec(0.5, 0.2, 0.3))
-    profiles = ProfileCorpus({})
-    test = splits[2]
-
-    sinn_f1, nn_f1 = [], []
-    for seed in range(5):
-        for arm, (alpha, beta) in (("sinn", (1.0, 0.1)), ("nn", (0.0, 0.0))):
-            tc = TrainConfig(variant="sbcm", epochs=1000, seed=seed, alpha=alpha, beta=beta)
-            m, _ = train(splits, profiles, tc)
-            preds = m.predict_proba(test.users(), test.times()).argmax(axis=1)
-            f1 = compute_metrics(test.labels(), preds, 5).macro_f1
-            (sinn_f1 if arm == "sinn" else nn_f1).append(f1)
-    med_sinn, med_nn = float(np.median(sinn_f1)), float(np.median(nn_f1))
+    rows = harness.ablation_sinn_vs_nn(splits, ProfileCorpus({}),
+                                       TrainConfig(variant="sbcm", epochs=1000), range(5))
+    med_sinn, med_nn = rows[-1]["sinn_f1"], rows[-1]["nn_f1"]
     report("criterion 5 (ODE regularization helps vs plain network, 5 seeds)",
            med_sinn >= med_nn,
            f"median macro-F1 {med_sinn:.3f} (regularized) vs {med_nn:.3f} (plain)")

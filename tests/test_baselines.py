@@ -66,8 +66,7 @@ def regularize_series_loop(dataset, grid_dt=None):
     for u in range(dataset.num_users):
         if seen[u]:
             values[u, last_index[u] :] = last_value[u]
-    missing = tuple(int(u) for u in range(dataset.num_users) if not seen[u])
-    return RegularSeries(values, t_start, float(grid_dt), missing)
+    return RegularSeries(values, t_start, float(grid_dt))
 
 
 def voter_predict_loop(train, test_posts, repeats=10, seed=0):
@@ -129,8 +128,7 @@ def random_posts(rng, num_users, num_steps, num_classes=5, t0=0.0):
 def assert_series_equal(actual, expected):
     assert actual.values.dtype == expected.values.dtype
     np.testing.assert_array_equal(actual.values, expected.values)
-    assert (actual.t_start, actual.dt, actual.users_without_posts) == \
-        (expected.t_start, expected.dt, expected.users_without_posts)
+    assert (actual.t_start, actual.dt) == (expected.t_start, expected.dt)
 
 
 class TestArrayFormsMatchLoops:
@@ -215,12 +213,6 @@ class TestRegularize:
         posts = [Post(0, 0.0, 0), Post(1, 4.0, 2)]
         series = regularize_series(make_dataset(posts, 2), grid_dt=1.0)
         np.testing.assert_allclose(series.values[0], [-0.8] * 5)
-
-    def test_users_without_posts_reported(self):
-        posts = [Post(0, 0.0, 2), Post(0, 1.0, 2)]
-        series = regularize_series(make_dataset(posts, 3), grid_dt=1.0)
-        assert series.users_without_posts == (1, 2)
-        np.testing.assert_array_equal(series.values[1], 0.0)
 
     def test_default_grid_dt_median_gap(self):
         posts = [Post(0, 0.0, 2), Post(0, 2.0, 2), Post(0, 4.0, 2), Post(0, 10.0, 2)]

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opinionlab import cli
+from opinionlab import cli, simulate
 from opinionlab.cli import CliError, load_run_config, main, parse_axes
 from opinionlab.data import OpinionDataset, ProfileCorpus, save_dataset, save_profiles
 from opinionlab.harness import config_hash
-from opinionlab.model import VARIANTS, TrainConfig
+from opinionlab.model import VARIANTS, TrainConfig, TrainingDiverged
 
 
 @pytest.fixture
@@ -104,6 +104,44 @@ class TestRunConfigProperty:
         assert_valid_config(config)
 
 
+SIM_INTEGERS = ("num_users", "num_steps", "initiators_per_step", "seed")
+SIM_SECTIONS = st.dictionaries(
+    st.sampled_from(sorted(cli.SIM_KEYS) + ["bogus"]),
+    st.integers(-2, 20) | st.floats() | st.sampled_from([*simulate.PRESETS, "attractive", "additive"])
+    | st.lists(st.integers(-2, 2) | st.floats(), max_size=3) | JSON_VALUES, max_size=6)
+SIM_CONFIGS = st.fixed_dictionaries({"sim": SIM_SECTIONS | JSON_VALUES}) | JSON_VALUES
+
+
+def assert_valid_sim_config(preset, config, num_classes):
+    """Every simulator setting within the range the README documents."""
+    assert preset is None or preset in simulate.PRESETS
+    assert type(num_classes) is int and num_classes >= 2
+    for name in SIM_INTEGERS:
+        value = getattr(config, name)
+        assert type(value) is int and value >= (2 if name == "num_users" else 0 if name == "seed" else 1)
+    assert config.initiators_per_step <= config.num_users
+    for name in ("mu", "rho"):
+        assert type(getattr(config, name)) in (int, float) and math.isfinite(getattr(config, name))
+    assert 0 < config.mu <= 1
+    assert config.update_rule in ("attractive", "additive")
+    low, high = config.init_range
+    assert all(type(v) in (int, float) and math.isfinite(v) for v in (low, high)) and low < high
+
+
+class TestSimConfigProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(SIM_CONFIGS)
+    def test_builds_valid_sim_config_or_raises_cli_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                built = cli._sim_config(load_run_config(path))
+            except CliError:
+                return
+        assert_valid_sim_config(*built)
+
+
 class TestParseAxes:
     def test_typed_values(self):
         axes = parse_axes("alpha=0.1,1.0;width=8,16;variant=fj,sbcm")
@@ -139,6 +177,31 @@ class TestSimulateCommand:
                      "--config", str(_bad_preset_config(tmp_path))])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("num_steps", 0, id="no_steps"),
+        pytest.param("num_classes", 1, id="one_class"),
+        pytest.param("num_classes", 2.5, id="fractional_classes"),
+        pytest.param("initiators_per_step", -2, id="negative_initiators"),
+        pytest.param("mu", "x", id="mu_text"),
+        pytest.param("rho", None, id="rho_null"),
+        pytest.param("num_users", True, id="users_bool"),
+        pytest.param("init_range", [1.0, -1.0], id="init_range_reversed"),
+        pytest.param("init_range", 3, id="init_range_scalar"),
+    ])
+    def test_invalid_sim_value_is_error(self, tmp_path, capsys, key, value):
+        out = tmp_path / "sim"
+        cfg = _sim_config(tmp_path, **{"num_users": 10, "num_steps": 5, key: value})
+        assert main(["simulate", "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad sim configuration") and key in err
+        assert not out.exists()
+
+    def test_command_line_preset_overrides_section(self, tmp_path, capsys):
+        cfg = _sim_config(tmp_path, num_users=10, num_steps=5, preset="polarization")
+        assert main(["simulate", "--preset", "consensus", "--out", str(tmp_path / "sim"),
+                     "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out.strip())["preset"] == "consensus"
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg = _sim_config(tmp_path, num_users=20, num_steps=10)
@@ -264,6 +327,7 @@ class TestGridsearchCommand:
                 raise RuntimeError("boom")
             return real_run(splits, profiles, config, cache_dir)
 
+        monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0})  # forked after the patch
         monkeypatch.setattr(cli.harness, "run_cell", flaky)
         code = main(["gridsearch", "--config", str(cfg_path),
                      "--axes", "variant=bcm,fj", "--out", str(tmp_path / "grid")])
@@ -276,6 +340,7 @@ class TestGridsearchCommand:
 
     def test_all_cells_failed_is_error(self, workspace, capsys, monkeypatch):
         tmp_path, cfg_path = workspace
+        monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(cli.harness, "run_cell",
                             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
         code = main(["gridsearch", "--config", str(cfg_path),
@@ -295,6 +360,12 @@ class TestGridsearchCommand:
         assert code == 2
         assert "validation split is empty" in capsys.readouterr().err
 
+    def test_jobs_option_removed(self, workspace):
+        tmp_path, cfg_path = workspace
+        with pytest.raises(SystemExit):
+            main(["gridsearch", "--config", str(cfg_path), "--axes", "variant=fj",
+                  "--jobs", "2", "--out", str(tmp_path / "grid")])
+
 
 class TestAblateCommand:
     def test_writes_csv(self, workspace, capsys):
@@ -306,6 +377,25 @@ class TestAblateCommand:
         assert lines[0] == "seed,sinn_acc,sinn_f1,nn_acc,nn_f1"
         assert len(lines) == 4  # header + 2 seeds + median
         assert lines[-1].startswith("median,")
+
+    def test_empty_test_split_refused_before_training(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        doc["data"]["split"] = [0.75, 0.25, 0.0]
+        cfg_path.write_text(json.dumps(doc))
+        monkeypatch.setattr(cli.harness, "ablation_sinn_vs_nn", lambda *a, **k: pytest.fail("trained"))
+        code = main(["ablate", "--config", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "abl")])
+        assert code == 2
+        assert "test split, which is empty" in capsys.readouterr().err
+
+    def test_diverged_arm_is_error(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace
+        monkeypatch.setattr(cli.harness.os, "sched_getaffinity", lambda pid: {0})  # forked after the patch
+        monkeypatch.setattr(cli.harness, "run_cell",
+                            lambda *a, **k: (_ for _ in ()).throw(TrainingDiverged("non-finite data loss")))
+        code = main(["ablate", "--config", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "abl")])
+        assert code == 2
+        assert "error: non-finite data loss" in capsys.readouterr().err
 
 
 class TestReportCommand:

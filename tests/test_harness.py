@@ -1,6 +1,6 @@
 """Grid search, caching, ablation, gradient check, and the comparison table."""
 
-import json
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,23 +13,44 @@ from opinionlab.harness import (
     ablation_sinn_vs_nn,
     comparison_table,
     config_hash,
+    evaluate_model,
     gradient_check,
     grid_search,
     leaderboard_to_csv,
     run_baselines,
+    run_cell,
 )
-from opinionlab.model import TrainConfig
+from opinionlab.model import TrainConfig, TrainingDiverged, train
 
 
-def tiny_splits(num_users=4, num_steps=10, seed=0):
+def tiny_splits(num_users=4, num_steps=10, seed=0, fractions=(0.5, 0.2, 0.3)):
     rng = np.random.default_rng(seed)
     posts = [(u, float(t), int(rng.integers(0, 3))) for t in range(num_steps) for u in range(num_users)]
     ds = OpinionDataset(*zip(*posts), num_users, 3, float(num_steps))
-    return chronological_split(ds, SplitSpec(0.5, 0.2, 0.3))
+    return chronological_split(ds, SplitSpec(*fractions))
 
 
 PROFILES = ProfileCorpus({u: f"user number {u}" for u in range(4)})
 FAST = dict(epochs=2, num_layers=1, width=3, embed_dim=4, batch_size=16, seed=0)
+
+
+def pin_cores(monkeypatch, cores):
+    """Size the runner's pool as if `cores` cores were usable; returns the
+    list of pool sizes it then asks for."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def exact(values):
+    return [float.hex(float(v)) for v in values]
 
 
 class TestGridSpec:
@@ -89,6 +110,8 @@ class TestGridSearch:
         assert [r.hash for r in ordered] == ["a", "b"]
 
     def test_failed_cell_recorded_search_continues(self, tmp_path, monkeypatch):
+        # One worker, forked after the patch, so it runs the patched run_cell.
+        pin_cores(monkeypatch, 1)
         splits = tiny_splits()
         base = TrainConfig(**FAST)
         real_run = harness.run_cell
@@ -105,16 +128,38 @@ class TestGridSearch:
         bcm_hash = config_hash(TrainConfig(**{**FAST, "variant": "bcm"}))
         assert failed == {bcm_hash: "RuntimeError: boom"}
 
-    def test_pool_matches_serial(self):
+    def test_pool_matches_serial(self, monkeypatch):
+        """One worker or two, the pooled scores equal in-process run_cell
+        calls bitwise."""
         splits = tiny_splits()
-        spec = GridSpec({"variant": ["fj", "sbcm"]})
-        boards = [grid_search(splits, PROFILES, spec, TrainConfig(**FAST), jobs=jobs)[0]
-                  for jobs in (2, 1)]
-        pooled, serial = ([(r.hash, r.val_f1, r.val_acc) for r in board] for board in boards)
-        assert len(pooled) == 2
-        assert pooled == serial
+        variants = ["fj", "sbcm", "bcm"]
+        expected = {}
+        for variant in variants:
+            res = run_cell(splits, PROFILES, TrainConfig(**{**FAST, "variant": variant}))
+            expected[res["hash"]] = exact([res["val_f1"], res["val_acc"],
+                                           res["test_f1"], res["test_acc"]])
+        for cores in (1, 2):
+            sizes = pin_cores(monkeypatch, cores)
+            board, failed = grid_search(splits, PROFILES, GridSpec({"variant": variants}),
+                                        TrainConfig(**FAST))
+            assert sizes == [cores] and failed == {}
+            assert {r.hash: exact([r.val_f1, r.val_acc, r.test_f1, r.test_acc])
+                    for r in board} == expected
+
+    def test_pool_never_larger_than_the_job_list(self, monkeypatch):
+        sizes = pin_cores(monkeypatch, 8)
+        grid_search(tiny_splits(), PROFILES, GridSpec({"variant": ["fj", "sbcm"]}),
+                    TrainConfig(**FAST))
+        assert sizes == [2]
+
+    def test_empty_validation_split_refused_before_training(self, monkeypatch):
+        splits = tiny_splits(fractions=(0.7, 0.0, 0.3))
+        monkeypatch.setattr(harness, "_run_jobs", lambda jobs: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="validation split is empty"):
+            grid_search(splits, PROFILES, GridSpec({"variant": ["fj"]}), TrainConfig(**FAST))
 
     def test_all_cells_failed_raises(self, monkeypatch):
+        pin_cores(monkeypatch, 1)
         splits = tiny_splits()
         monkeypatch.setattr(harness, "run_cell",
                             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("boom")))
@@ -148,6 +193,42 @@ class TestAblation:
         assert rows[-1]["seed"] == "median"
         assert rows[-1]["sinn_f1"] == pytest.approx(
             float(np.median([rows[0]["sinn_f1"], rows[1]["sinn_f1"]])))
+
+    def test_pool_matches_in_process_training(self, monkeypatch):
+        """One worker or two, every arm's test scores equal an in-process
+        train-and-evaluate bitwise."""
+        splits = tiny_splits()
+        expected = []
+        for seed in (0, 1):
+            for overrides in ({}, {"alpha": 0.0, "beta": 0.0}):
+                trained, _ = train(splits, PROFILES, TrainConfig(**{**FAST, "seed": seed, **overrides}))
+                metrics = evaluate_model(trained, splits[2])
+                expected += [metrics.accuracy, metrics.macro_f1]
+        for cores in (1, 2):
+            sizes = pin_cores(monkeypatch, cores)
+            rows = ablation_sinn_vs_nn(splits, PROFILES, TrainConfig(**FAST), seeds=[0, 1])
+            assert sizes == [cores]
+            assert exact(row[key] for row in rows[:2]
+                         for key in ("sinn_acc", "sinn_f1", "nn_acc", "nn_f1")) == exact(expected)
+
+    def test_failed_arm_raises(self, monkeypatch):
+        pin_cores(monkeypatch, 1)
+        real_run = harness.run_cell
+
+        def diverging(splits_, profiles_, config, cache_dir=None):
+            if config.alpha == 0.0:
+                raise TrainingDiverged("non-finite data loss")
+            return real_run(splits_, profiles_, config, cache_dir)
+
+        monkeypatch.setattr(harness, "run_cell", diverging)
+        with pytest.raises(TrainingDiverged, match="non-finite data loss"):
+            ablation_sinn_vs_nn(tiny_splits(), PROFILES, TrainConfig(**FAST), seeds=[0])
+
+    def test_empty_test_split_refused_before_training(self, monkeypatch):
+        splits = tiny_splits(fractions=(0.7, 0.3, 0.0))
+        monkeypatch.setattr(harness, "_run_jobs", lambda jobs: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="test split, which is empty"):
+            ablation_sinn_vs_nn(splits, PROFILES, TrainConfig(**FAST), seeds=[0])
 
 
 class TestBaselinesAndReport:

@@ -1,17 +1,23 @@
 """ODE residuals, Gumbel-Softmax relaxation, losses, and training loop."""
 
+import copy
 import gc
 import json
 import re
+import tempfile
 import weakref
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinionlab import autodiff as ad, model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
 from opinionlab.model import (
+    VARIANTS,
     OdeParams,
     TrainConfig,
     TrainingDiverged,
@@ -577,6 +583,12 @@ class TestPredictAndCheckpoint:
                      id="fnn_inf"),
         pytest.param("sbcm", lambda d: d["fnn"].update(weights=[[1.0], [1.0, 2.0]]), "fnn.weights",
                      id="fnn_ragged"),
+        # 10**400 is valid JSON beyond any float; sizes that large must fail before any allocation.
+        pytest.param("sbcm", lambda d: d.update(horizon=10 ** 400), "horizon", id="horizon_huge"),
+        pytest.param("sbcm", lambda d: d["head_w"].__setitem__(0, 10 ** 400), "head_w", id="head_w_huge"),
+        pytest.param("sbcm", lambda d: d["config"].update(width=10 ** 400), "fnn.weights", id="width_huge"),
+        pytest.param("sbcm", lambda d: d["config"].update(embed_dim=10 ** 400), "context", id="embed_dim_huge"),
+        pytest.param("sbcm", lambda d: d.update(num_users=10 ** 400), "fnn.weights", id="num_users_huge"),
     ])
     def test_load_rejects_malformed(self, tmp_path, variant, edit, field):
         assert_load_names_field(tmp_path, variant, edit, field)
@@ -614,3 +626,54 @@ class TestPredictAndCheckpoint:
         m = build_model(ds, ProfileCorpus({}), TrainConfig(variant="fj", num_layers=1,
                                                            width=3, embed_dim=4, seed=0))
         np.testing.assert_allclose(m.ode.innate, [-0.8, 0.8])
+
+
+# Integers stay small or far beyond any allocation: a mid-size `latent_dim`
+# would have a degroot checkpoint allocate that many columns before its
+# arrays are compared (see CHANGES.md).
+FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([2 ** 63, 10 ** 400])
+                | st.floats() | st.text(max_size=4))
+FUZZ_VALUES = st.recursive(FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=8)
+
+
+@cache
+def saved_checkpoint(variant):
+    cfg = TrainConfig(variant=variant, num_layers=1, width=3, embed_dim=4, seed=0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "checkpoint.json"
+        save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
+        return json.loads(path.read_text())
+
+
+@st.composite
+def edited_checkpoints(draw):
+    """A saved checkpoint with one to three values replaced or deleted."""
+    doc = copy.deepcopy(saved_checkpoint(draw(st.sampled_from(VARIANTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while node:
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            if isinstance(node[key], (dict, list)) and node[key] and draw(st.integers(0, 3)):
+                node = node[key]
+                continue
+            if draw(st.integers(0, 3)):
+                node[key] = draw(FUZZ_SCALARS | FUZZ_VALUES)
+            else:
+                del node[key]
+            break
+    return doc
+
+
+class TestLoadModelProperty:
+    @settings(max_examples=500, deadline=None)
+    @given(edited_checkpoints() | FUZZ_VALUES)
+    def test_any_json_loads_or_raises_value_error(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "checkpoint.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                loaded = load_model(path, tiny_profiles())
+            except ValueError:
+                return
+        assert loaded.predict_proba([0], [1.0]).shape == (1, loaded.num_classes)
