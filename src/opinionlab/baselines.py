@@ -129,8 +129,17 @@ def voter_predict(series: RegularSeries, test: OpinionDataset, repeats: int = 10
 def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
     """Least-squares fit of dx/dt = A x with a zero diagonal.
 
-    Each row of A is regressed separately on the other users' opinions; a
-    ridge term is added when the normal equations are ill-conditioned.
+    Row u of A regresses user u's rates on the other users' opinions, with
+    the S-1 grid steps as rows of the design D (S-1, U-1).  Two forms:
+
+    - at least as many steps as other users (S-1 >= U-1): the primal normal
+      equations (DᵀD) a = Dᵀr, one (U-1, U-1) solve per user, with the
+      ridge added only when DᵀD is ill-conditioned;
+    - fewer steps than other users (S-1 < U-1): the problem is
+      underdetermined, so the ridge always applies, and the push-through
+      identity (DᵀD + λI)⁻¹Dᵀ = Dᵀ(DDᵀ + λI)⁻¹ solves it in step space.
+      DDᵀ is the all-user step Gram x0ᵀx0 less user u's own outer product,
+      so the Gram is formed once and each user costs one (S-1, S-1) solve.
     """
     x = series.values
     num_users, num_steps = x.shape
@@ -138,15 +147,21 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
         raise ValueError("need a grid with at least two steps")
     x0 = x[:, :-1]
     rates = (x[:, 1:] - x[:, :-1]) / series.dt
-    interaction = np.zeros((num_users, num_users))
-    for u in range(num_users):
-        others = np.delete(np.arange(num_users), u)
-        design = x0[others].T                      # (S-1, U-1)
-        gram = design.T @ design
-        if num_steps - 1 < num_users - 1 or np.linalg.cond(gram) > 1e12:
-            gram = gram + ridge * np.eye(num_users - 1)
-        row = np.linalg.solve(gram, design.T @ rates[u])
-        interaction[u, others] = row
+    if num_steps - 1 < num_users - 1:
+        step_gram = x0.T @ x0 + ridge * np.eye(num_steps - 1)
+        duals = np.array([np.linalg.solve(step_gram - np.outer(x0[u], x0[u]), rates[u])
+                          for u in range(num_users)])             # (U, S-1)
+        interaction = duals @ x0.T
+        np.fill_diagonal(interaction, 0.0)
+    else:
+        interaction = np.zeros((num_users, num_users))
+        for u in range(num_users):
+            others = np.delete(np.arange(num_users), u)
+            design = x0[others].T                      # (S-1, U-1)
+            gram = design.T @ design
+            if np.linalg.cond(gram) > 1e12:
+                gram = gram + ridge * np.eye(num_users - 1)
+            interaction[u, others] = np.linalg.solve(gram, design.T @ rates[u])
     return DegrootFit(interaction, x[:, -1].copy(), series.t_end, series.dt)
 
 

@@ -607,8 +607,12 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
                              requires_grad=True) for key in ("head_w", "head_b"))
     table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table)
-    rng = np.random.default_rng(config.seed)
-    ode = OdeParams(config.variant, num_users, config, rng)
-    ode.load_dict(_checkpoint_field(doc, "ode"))
+    ode_doc = _checkpoint_field(doc, "ode")
+    if config.variant == "degroot":  # OdeParams sizes the factors from latent_dim
+        for name in ODE_LEAVES["degroot"]:
+            _checkpoint_array(_checkpoint_field(ode_doc, name, "ode"), f"ode.{name}",
+                              (num_users, config.latent_dim))
+    ode = OdeParams(config.variant, num_users, config, np.random.default_rng(config.seed))
+    ode.load_dict(ode_doc)
     return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
                      num_users, num_classes, horizon, config)

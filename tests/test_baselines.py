@@ -1,12 +1,13 @@
 """Voter, linear-influence, and one-step linear regression baselines."""
 
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opinionlab import baselines
+from opinionlab import baselines, simulate
 from opinionlab.baselines import (
     RegularSeries,
     aslm_predict,
@@ -18,7 +19,8 @@ from opinionlab.baselines import (
     regularize_series,
     voter_predict,
 )
-from opinionlab.data import OpinionDataset, discretize_opinion, label_to_continuous
+from opinionlab.data import (OpinionDataset, SplitSpec, chronological_split, discretize_opinion,
+                             label_to_continuous)
 
 # One post, as the reference loops below walk them.
 Post = namedtuple("Post", "user_id time label")
@@ -89,6 +91,24 @@ def voter_predict_loop(train, test_posts, repeats=10, seed=0):
         continuous = states[steps, test_users]
         preds[r] = [discretize_opinion(v, train.num_classes) for v in continuous]
     return preds
+
+
+def fit_degroot_loop(series, ridge=1e-6):
+    """One primal regression per user on the other users' opinions, with
+    the ridge added when the system is underdetermined or ill-conditioned."""
+    x = series.values
+    num_users, num_steps = x.shape
+    x0 = x[:, :-1]
+    rates = (x[:, 1:] - x[:, :-1]) / series.dt
+    interaction = np.zeros((num_users, num_users))
+    for u in range(num_users):
+        others = np.delete(np.arange(num_users), u)
+        design = x0[others].T                      # (S-1, U-1)
+        gram = design.T @ design
+        if num_steps - 1 < num_users - 1 or np.linalg.cond(gram) > 1e12:
+            gram = gram + ridge * np.eye(num_users - 1)
+        interaction[u, others] = np.linalg.solve(gram, design.T @ rates[u])
+    return baselines.DegrootFit(interaction, x[:, -1].copy(), series.t_end, series.dt)
 
 
 def degroot_predict_loop(fit, test_posts, num_classes):
@@ -189,6 +209,60 @@ class TestArrayFormsMatchLoops:
         preds = aslm_predict(fit, make_dataset(test_posts, 5))
         assert preds.dtype == np.int64
         np.testing.assert_array_equal(preds, aslm_predict_loop(fit, test_posts, 5))
+
+
+# With fewer steps than users the fit solves the same ridge problem in step
+# space, which reorders the floating-point work; it agrees with the primal
+# loop to this fraction of max|A| (about 1e-7 at the lab size).
+DUAL_FORM_TOL = 1e-6
+
+
+class TestDegrootFitMatchesLoop:
+    """`fit_degroot` against the per-user primal loop: within DUAL_FORM_TOL
+    when S-1 < U-1, exactly otherwise."""
+
+    @staticmethod
+    def assert_dual_form_close(series):
+        expected = fit_degroot_loop(series).interaction
+        actual = fit_degroot(series).interaction
+        np.testing.assert_allclose(actual, expected, rtol=0,
+                                   atol=DUAL_FORM_TOL * np.abs(expected).max())
+        np.testing.assert_array_equal(np.diag(actual), 0.0)
+
+    @pytest.mark.parametrize("num_users, num_steps", [(7, 4), (12, 11), (40, 9)])
+    def test_underdetermined_random(self, num_users, num_steps):
+        """(12, 11) is one step short of the boundary."""
+        rng = np.random.default_rng(num_users)
+        series = RegularSeries(rng.uniform(-1, 1, (num_users, num_steps)), 0.0, 0.5)
+        self.assert_dual_form_close(series)
+
+    def test_underdetermined_lab_consensus(self):
+        """A lab-size train split: 200 users on 100 steps, most of them
+        holding one opinion for many steps, so the ridge decides."""
+        config = replace(simulate.preset_config("consensus"), seed=3)
+        dataset, _, _ = simulate.generate_sbcm_dataset(config)
+        train, _, _ = chronological_split(dataset, SplitSpec(0.5, 0.2, 0.3))
+        series = regularize_series(train)
+        assert series.values.shape == (200, 100)
+        self.assert_dual_form_close(series)
+
+    @pytest.mark.parametrize("num_users, num_steps", [(6, 6), (5, 40)])
+    def test_primal_exact(self, num_users, num_steps):
+        """S-1 = U-1 (the boundary) and S-1 > U-1 take the primal form."""
+        rng = np.random.default_rng(num_steps)
+        series = RegularSeries(rng.uniform(-1, 1, (num_users, num_steps)), 0.0, 0.5)
+        np.testing.assert_array_equal(fit_degroot(series).interaction,
+                                      fit_degroot_loop(series).interaction)
+
+    def test_primal_ill_conditioned_exact(self):
+        """Two users with the same series make the primal Gram singular, so
+        both forms add the ridge."""
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-1, 1, (4, 30))
+        values[1] = values[0]
+        series = RegularSeries(values, 0.0, 1.0)
+        np.testing.assert_array_equal(fit_degroot(series).interaction,
+                                      fit_degroot_loop(series).interaction)
 
 
 class TestRegularize:

@@ -3,8 +3,12 @@
 import copy
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import weakref
 from functools import cache
 from pathlib import Path
@@ -607,6 +611,35 @@ class TestPredictAndCheckpoint:
         np.testing.assert_array_equal(loaded.predict_proba(users, times), m.predict_proba(users, times))
         assert not np.array_equal(loaded.predict_proba([0], [1.0]), m.predict_proba([0], [1.0]))
 
+    def test_load_checks_degroot_factors_before_sizing_them(self, tmp_path):
+        """A `latent_dim` of 10**9 would size factors of about 30 GB; the
+        saved arrays are compared first, so loading under a 4 GB
+        address-space limit raises ValueError instead of MemoryError."""
+        cfg = TrainConfig(variant="degroot", num_layers=1, width=3, embed_dim=4, seed=0)
+        path = tmp_path / "checkpoint.json"
+        save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
+        doc = json.loads(path.read_text())
+        doc["config"]["latent_dim"] = 10 ** 9
+        path.write_text(json.dumps(doc))
+        script = textwrap.dedent("""
+            import resource, sys
+            from opinionlab.data import ProfileCorpus
+            from opinionlab.model import load_model
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            soft = 4 << 30 if hard == resource.RLIM_INFINITY else min(4 << 30, hard)
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+            try:
+                load_model(sys.argv[1], ProfileCorpus({}))
+            except ValueError as err:
+                print(err)
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "'ode.m_factors' has shape (4, 2), expected (4, 1000000000)" in done.stdout
+
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text("[1, 2]")
@@ -628,10 +661,7 @@ class TestPredictAndCheckpoint:
         np.testing.assert_allclose(m.ode.innate, [-0.8, 0.8])
 
 
-# Integers stay small or far beyond any allocation: a mid-size `latent_dim`
-# would have a degroot checkpoint allocate that many columns before its
-# arrays are compared (see CHANGES.md).
-FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([2 ** 63, 10 ** 400])
+FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10 ** 12) | st.sampled_from([2 ** 63, 10 ** 400])
                 | st.floats() | st.text(max_size=4))
 FUZZ_VALUES = st.recursive(FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=4)
                            | st.dictionaries(st.text(max_size=6), inner, max_size=4), max_leaves=8)
