@@ -13,7 +13,7 @@ import numpy as np
 
 from opinionlab import simulate
 from opinionlab.data import ProfileCorpus, SplitSpec, chronological_split
-from opinionlab.harness import run_baselines
+from opinionlab.harness import BASELINES, run_baselines
 from opinionlab.metrics import compute_metrics
 from opinionlab.model import TrainConfig, train
 
@@ -36,8 +36,7 @@ for name, (alpha, beta) in (("regularized", (1.0, 0.1)), ("plain network", (0.0,
     residual = f"final ODE residual {history[-1].ode_loss:.2e}" if alpha else "no ODE term"
     print(f"trained {name:14s}  {residual}")
 
-for method, result in run_baselines(splits[0], test, ["voter", "degroot", "aslm"],
-                                    seed=0).items():
+for method, result in run_baselines(splits[0], test, BASELINES, seed=0).items():
     rows[method] = (result["acc"], result["f1"])
 
 print(f"\n{'method':16s} {'accuracy':>9s} {'macro-F1':>9s}")

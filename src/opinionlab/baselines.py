@@ -1,11 +1,12 @@
-"""Comparison methods: voter copying, a fitted linear-influence model, and
-one-step linear regression.
+"""Comparison methods: persistence, voter copying, a fitted linear-influence
+model, and one-step linear regression.
 
-All three operate on a regularized series: post labels are mapped to bin
+All four operate on a regularized series: post labels are mapped to bin
 midpoints in [-1, 1] and carried forward onto a uniform time grid (last
 observation carried forward; a user's first value is back-filled before
-their first post).  Long-horizon predictions roll the fitted dynamics
-forward from the end of training and are discretized back to labels.
+their first post).  Predictions hold or roll the dynamics forward from the
+end of training in fixed steps, read each test post at its nearest step,
+and are discretized back to labels.
 """
 
 from __future__ import annotations
@@ -93,6 +94,11 @@ def regularize_series(dataset: OpinionDataset, grid_dt: float | None = None) -> 
     return RegularSeries(values, t_start, float(grid_dt))
 
 
+def persistence_predict(series: RegularSeries, test: OpinionDataset) -> np.ndarray:
+    """Each test post's user keeps their last train opinion."""
+    return discretize_opinion(series.values[test.users(), -1], test.num_classes)
+
+
 # ----- voter ---------------------------------------------------------------------
 
 
@@ -138,8 +144,10 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
     - fewer steps than other users (S-1 < U-1): the problem is
       underdetermined, so the ridge always applies, and the push-through
       identity (DᵀD + λI)⁻¹Dᵀ = Dᵀ(DDᵀ + λI)⁻¹ solves it in step space.
-      DDᵀ is the all-user step Gram x0ᵀx0 less user u's own outer product,
-      so the Gram is formed once and each user costs one (S-1, S-1) solve.
+      DDᵀ + λI is the step Gram K = x0ᵀx0 + λI less user u's outer product
+      a aᵀ, so one solve of K for all users' rates and opinions and the
+      Sherman–Morrison correction y = K⁻¹r + K⁻¹a (aᵀK⁻¹r) / (1 - aᵀK⁻¹a)
+      solve every user at once; the denominator lies in (0, 1].
     """
     x = series.values
     num_users, num_steps = x.shape
@@ -149,9 +157,10 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
     rates = (x[:, 1:] - x[:, :-1]) / series.dt
     if num_steps - 1 < num_users - 1:
         step_gram = x0.T @ x0 + ridge * np.eye(num_steps - 1)
-        duals = np.array([np.linalg.solve(step_gram - np.outer(x0[u], x0[u]), rates[u])
-                          for u in range(num_users)])             # (U, S-1)
-        interaction = duals @ x0.T
+        solved = np.linalg.solve(step_gram, np.hstack([rates.T, x0.T]))   # (S-1, 2U)
+        k_rates, k_opinions = solved[:, :num_users], solved[:, num_users:]
+        gain = np.einsum("us,su->u", x0, k_rates) / (1.0 - np.einsum("us,su->u", x0, k_opinions))
+        interaction = (x0 @ (k_rates + k_opinions * gain)).T
         np.fill_diagonal(interaction, 0.0)
     else:
         interaction = np.zeros((num_users, num_users))
@@ -165,37 +174,18 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
     return DegrootFit(interaction, x[:, -1].copy(), series.t_end, series.dt)
 
 
-def _integrate_linear(a: np.ndarray, x0: np.ndarray, t_span: float, step: float) -> np.ndarray:
-    """Fixed-step RK4 for dx/dt = A x over t_span (may be zero)."""
-    if t_span <= 0:
-        return x0.copy()
-    steps = max(1, int(np.ceil(t_span / step)))
-    h = t_span / steps
-    x = x0.copy()
-    for _ in range(steps):
-        k1 = a @ x
-        k2 = a @ (x + 0.5 * h * k1)
-        k3 = a @ (x + 0.5 * h * k2)
-        k4 = a @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
-
-
 def degroot_predict(fit: DegrootFit, test: OpinionDataset) -> np.ndarray:
-    """Integrate the fitted linear system to each distinct test time, in
-    time order, and discretize the posts at that time (a run of the sorted
-    test posts)."""
-    users = test.users()
-    group_times, starts = np.unique(test.times(), return_index=True)
-    preds = np.zeros(len(test), dtype=int)
-    x = fit.x_end.copy()
-    t = fit.t_end
-    step = fit.grid_dt / 4.0
-    for t_next, start, stop in zip(group_times, starts, [*starts[1:], len(test)]):
-        x = _integrate_linear(fit.interaction, x, t_next - t, step)
-        t = max(t, t_next)
-        preds[start:stop] = discretize_opinion(x[users[start:stop]], test.num_classes)
-    return preds
+    """Roll dx/dt = A x forward in RK4 substeps of a quarter grid step and
+    discretize each test post at its nearest substep.  One RK4 step of size
+    h is the matrix I + hA + (hA)²/2 + (hA)³/6 + (hA)⁴/24, formed once by
+    Horner's rule."""
+    h = fit.grid_dt / 4.0
+    ha = h * fit.interaction
+    identity = np.eye(ha.shape[0])
+    step = identity + ha / 4.0
+    for order in (3.0, 2.0, 1.0):
+        step = identity + (ha @ step) / order
+    return _roll_out(step, 0.0, fit.x_end, fit.t_end, h, test)
 
 
 # ----- one-step linear regression ---------------------------------------------------
@@ -221,17 +211,20 @@ def fit_aslm(series: RegularSeries, ridge: float = 1e-6) -> AslmFit:
     return AslmFit(weights, bias, x[:, -1].copy(), series.t_end, series.dt, ridge)
 
 
-def aslm_step(fit: AslmFit, x: np.ndarray) -> np.ndarray:
-    return fit.weights @ x + fit.bias
-
-
 def aslm_predict(fit: AslmFit, test: OpinionDataset) -> np.ndarray:
     """Iterate the one-step map to each test time and discretize."""
+    return _roll_out(fit.weights, fit.bias, fit.x_end, fit.t_end, fit.grid_dt, test)
+
+
+def _roll_out(step: np.ndarray, bias: np.ndarray | float, x_end: np.ndarray, t_end: float,
+              dt: float, test: OpinionDataset) -> np.ndarray:
+    """Iterate x <- step @ x + bias from x_end every dt and discretize each
+    test post's user at the nearest iterate (x_end for posts before t_end)."""
     times = test.times()
-    max_steps = int(np.ceil((times.max(initial=fit.t_end) - fit.t_end) / fit.grid_dt))
-    states = np.empty((max_steps + 1, fit.x_end.shape[0]))
-    states[0] = fit.x_end
+    max_steps = int(np.ceil((times.max(initial=t_end) - t_end) / dt))
+    states = np.empty((max_steps + 1, x_end.shape[0]))
+    states[0] = x_end
     for k in range(1, max_steps + 1):
-        states[k] = aslm_step(fit, states[k - 1])
-    steps = np.clip(np.round((times - fit.t_end) / fit.grid_dt).astype(int), 0, max_steps)
+        states[k] = step @ states[k - 1] + bias
+    steps = np.clip(np.round((times - t_end) / dt).astype(int), 0, max_steps)
     return discretize_opinion(states[steps, test.users()], test.num_classes)

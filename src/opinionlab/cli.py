@@ -203,7 +203,7 @@ def cmd_baseline(args) -> int:
     train_ds, test_ds = splits[0], splits[2]
     if len(test_ds) == 0:
         raise CliError("the test split is empty")
-    methods = ["voter", "degroot", "aslm"] if args.method == "all" else [args.method]
+    methods = harness.BASELINES if args.method == "all" else [args.method]
     seed = args.seed if args.seed is not None else 0
     results = run_baselines(train_ds, test_ds, methods, seed=seed)
     out = _out_dir(args)
@@ -303,7 +303,7 @@ def cmd_report(args) -> int:
     if len(test_ds) == 0:
         raise CliError("the test split is empty")
     seed = args.seed if args.seed is not None else 0
-    rows = run_baselines(train_ds, test_ds, ["voter", "degroot", "aslm"], seed=seed)
+    rows = run_baselines(train_ds, test_ds, harness.BASELINES, seed=seed)
     if args.checkpoint:
         trained = model_mod.load_model(args.checkpoint, profiles)
         m = evaluate_model(trained, test_ds)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baseline", help="fit and score the classical baselines")
     p.add_argument("--config", required=True)
-    p.add_argument("--method", choices=["voter", "degroot", "aslm", "all"], default="all")
+    p.add_argument("--method", choices=[*harness.BASELINES, "all"], default="all")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_baseline)

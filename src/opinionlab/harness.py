@@ -230,8 +230,11 @@ def ablation_sinn_vs_nn(splits, profiles: ProfileCorpus, config: TrainConfig, se
 # ----- baselines + comparison table --------------------------------------------------
 
 
+BASELINES = ("voter", "degroot", "aslm", "persistence")
+
+
 def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods, seed: int = 0):
-    """Score the named baselines on the test posts.
+    """Score the named baselines (from BASELINES) on the test posts.
 
     Returns {method: {"acc", "f1", "predictions"}}: the metrics' mean over
     the method's runs (ten for the voter model, one otherwise) and the first
@@ -246,15 +249,17 @@ def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods, se
             runs = [baselines.degroot_predict(baselines.fit_degroot(series), test_ds)]
         elif method == "aslm":
             runs = [baselines.aslm_predict(baselines.fit_aslm(series), test_ds)]
+        elif method == "persistence":
+            runs = [baselines.persistence_predict(series, test_ds)]
         else:
-            raise ValueError(f"unknown baseline {method!r}")
+            raise ValueError(f"unknown baseline {method!r}; choose from {BASELINES}")
         scores = [compute_metrics(test_ds.labels(), p, test_ds.num_classes) for p in runs]
         out[method] = {"acc": float(np.mean([s.accuracy for s in scores])),
                        "f1": float(np.mean([s.macro_f1 for s in scores])), "predictions": runs[0]}
     return out
 
 
-COMPARISON_ROWS = ["voter", "degroot", "aslm", "nn", "proposed"]
+COMPARISON_ROWS = [*BASELINES, "proposed"]
 
 
 def comparison_table(rows: dict) -> list[list[str]]:

@@ -577,7 +577,8 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     section that is not an object, a config key that TrainConfig does not
     know, or an array whose shape does not fit the checkpoint's
     `num_users`, `num_classes` and `config` raises ValueError naming the
-    field, before anything is sized from `num_users` or the config.
+    field, before anything is sized from `num_users` or the config.  So
+    does a finite `context` so large that pooling the corpus overflows.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -607,6 +608,10 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
                              requires_grad=True) for key in ("head_w", "head_b"))
     table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = attention_pool(encoding.word_vectors, encoding.masks, attention.context.data)
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("checkpoint field 'context' gives non-finite profile encodings")
     ode_doc = _checkpoint_field(doc, "ode")
     if config.variant == "degroot":  # OdeParams sizes the factors from latent_dim
         for name in ODE_LEAVES["degroot"]:

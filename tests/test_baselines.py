@@ -11,11 +11,11 @@ from opinionlab import baselines, simulate
 from opinionlab.baselines import (
     RegularSeries,
     aslm_predict,
-    aslm_step,
     default_grid_dt,
     degroot_predict,
     fit_aslm,
     fit_degroot,
+    persistence_predict,
     regularize_series,
     voter_predict,
 )
@@ -111,6 +111,23 @@ def fit_degroot_loop(series, ridge=1e-6):
     return baselines.DegrootFit(interaction, x[:, -1].copy(), series.t_end, series.dt)
 
 
+def integrate_linear_loop(a, x0, t_span, step):
+    """Fixed-step RK4 for dx/dt = A x over t_span (may be zero), one
+    substep at a time; a span off the step grid ends on a shortened step."""
+    if t_span <= 0:
+        return x0.copy()
+    steps = max(1, int(np.ceil(t_span / step)))
+    h = t_span / steps
+    x = x0.copy()
+    for _ in range(steps):
+        k1 = a @ x
+        k2 = a @ (x + 0.5 * h * k1)
+        k3 = a @ (x + 0.5 * h * k2)
+        k4 = a @ (x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
 def degroot_predict_loop(fit, test_posts, num_classes):
     order = np.argsort([p.time for p in test_posts], kind="stable")
     preds = np.zeros(len(test_posts), dtype=int)
@@ -118,10 +135,14 @@ def degroot_predict_loop(fit, test_posts, num_classes):
     t = fit.t_end
     for i in order:
         post = test_posts[i]
-        x = baselines._integrate_linear(fit.interaction, x, post.time - t, fit.grid_dt / 4.0)
+        x = integrate_linear_loop(fit.interaction, x, post.time - t, fit.grid_dt / 4.0)
         t = max(t, post.time)
         preds[i] = discretize_opinion(x[post.user_id], num_classes)
     return preds
+
+
+def aslm_step(fit, x):
+    return fit.weights @ x + fit.bias
 
 
 def aslm_predict_loop(fit, test_posts, num_classes):
@@ -196,11 +217,27 @@ class TestArrayFormsMatchLoops:
         fit = baselines.DegrootFit(a, np.array([0.5, -0.2, 0.9]), 0.0, 1.0)
         test_posts = [Post(u, t, 0) for t in (30.0, 30.0, 31.0, 31.0) for u in range(3)]
         with np.errstate(all="ignore"):
-            assert np.isnan(baselines._integrate_linear(a, fit.x_end, 30.0, 0.25)).all()
+            assert np.isnan(integrate_linear_loop(a, fit.x_end, 30.0, 0.25)).all()
             preds = degroot_predict(fit, make_dataset(test_posts, 3))
             expected = degroot_predict_loop(fit, test_posts, 5)
         np.testing.assert_array_equal(preds, expected)
         np.testing.assert_array_equal(preds, 0)
+
+    def test_degroot_reads_nearest_substep(self):
+        """A post between quarter-grid substeps is read at the nearest one,
+        and a post before the end of training reads the end-of-train state;
+        integrating to the exact time would give other labels."""
+        a = np.array([[0.0, -1.0], [1.0, 0.0]])   # a rotation: substeps of 1 turn it by ~1 rad
+        fit = baselines.DegrootFit(a, np.array([0.6, 0.1]), 10.0, 4.0)
+        num_classes = 100
+        # t_end - 1.5 and t_end + 0.4 read substep 0; the others substeps 1, 4 and 5.
+        offsets = {-1.5: 0, 0.4: 0, 1.2: 1, 3.7: 4, 5.4: 5}
+        test_posts = [Post(u, fit.t_end + dt, 0) for dt in offsets for u in range(2)]
+        preds = degroot_predict(fit, make_dataset(test_posts, 2, num_classes))
+        expected = [discretize_opinion(integrate_linear_loop(a, fit.x_end, float(k), 1.0)[u],
+                                       num_classes) for k in offsets.values() for u in range(2)]
+        np.testing.assert_array_equal(preds, expected)
+        assert not np.array_equal(preds, degroot_predict_loop(fit, test_posts, num_classes))
 
     def test_aslm(self):
         rng = np.random.default_rng(6)
@@ -236,15 +273,27 @@ class TestDegrootFitMatchesLoop:
         series = RegularSeries(rng.uniform(-1, 1, (num_users, num_steps)), 0.0, 0.5)
         self.assert_dual_form_close(series)
 
-    def test_underdetermined_lab_consensus(self):
-        """A lab-size train split: 200 users on 100 steps, most of them
-        holding one opinion for many steps, so the ridge decides."""
-        config = replace(simulate.preset_config("consensus"), seed=3)
+    @pytest.mark.parametrize("preset", list(simulate.PRESETS))
+    def test_underdetermined_lab(self, preset):
+        """A lab-size split: 200 users on 100 train steps, most of them
+        holding one opinion for many steps, so the ridge decides.  The
+        Sherman–Morrison denominators lie in (0, 1], and the rollout gives
+        the RK4 loop's labels."""
+        config = replace(simulate.preset_config(preset), seed=3)
         dataset, _, _ = simulate.generate_sbcm_dataset(config)
-        train, _, _ = chronological_split(dataset, SplitSpec(0.5, 0.2, 0.3))
+        train, _, test = chronological_split(dataset, SplitSpec(0.5, 0.2, 0.3))
         series = regularize_series(train)
         assert series.values.shape == (200, 100)
         self.assert_dual_form_close(series)
+
+        x0 = series.values[:, :-1]
+        step_gram = x0.T @ x0 + 1e-6 * np.eye(x0.shape[1])
+        denominators = 1.0 - np.einsum("us,su->u", x0, np.linalg.solve(step_gram, x0.T))
+        assert ((denominators > 0) & (denominators <= 1)).all()
+
+        fit = fit_degroot(series)
+        np.testing.assert_array_equal(degroot_predict(fit, test),
+                                      degroot_predict_loop(fit, posts_of(test), test.num_classes))
 
     @pytest.mark.parametrize("num_users, num_steps", [(6, 6), (5, 40)])
     def test_primal_exact(self, num_users, num_steps):
@@ -424,3 +473,14 @@ class TestVoter:
         preds = voter_predict(regularize_series(train), make_dataset([Post(0, 1.0, 3)], 1),
                               repeats=2, seed=0)
         np.testing.assert_array_equal(preds, [[3], [3]])
+
+
+class TestPersistence:
+    def test_last_train_label_per_user(self):
+        """Each user keeps their last train label; a user with no train post
+        holds the neutral opinion."""
+        posts = [Post(0, 0.0, 0), Post(1, 0.0, 1), Post(0, 1.0, 4), Post(0, 2.0, 3),
+                 Post(1, 2.0, 1)]
+        series = regularize_series(make_dataset(posts, 3), grid_dt=1.0)
+        test = make_dataset([Post(2, 5.0, 0), Post(0, 5.0, 0), Post(1, 6.0, 0), Post(0, 9.0, 0)], 3)
+        np.testing.assert_array_equal(persistence_predict(series, test), [2, 3, 1, 3])

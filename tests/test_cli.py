@@ -293,7 +293,7 @@ class TestBaselineCommand:
         assert main(["baseline", "--config", str(cfg_path), "--method", "all",
                      "--out", str(out), "--seed", "0"]) == 0
         summary = json.loads(capsys.readouterr().out.strip())
-        assert set(summary) == {"voter", "degroot", "aslm"}
+        assert set(summary) == {"voter", "degroot", "aslm", "persistence"}
         for method in summary:
             assert (out / f"predictions_{method}.csv").exists()
 
@@ -411,9 +411,10 @@ class TestReportCommand:
         table = (out / "comparison.csv").read_text().strip().splitlines()
         assert table[0] == "method,acc,f1"
         names = [line.split(",")[0] for line in table[1:]]
-        assert names == ["voter", "degroot", "aslm", "nn", "proposed"]
+        assert names == ["voter", "degroot", "aslm", "persistence", "proposed"]
         by_name = {line.split(",")[0]: line for line in table[1:]}
-        assert by_name["nn"] == "nn,,"  # not filled by report, left blank
+        assert by_name["persistence"].count(",") == 2
+        assert by_name["persistence"] != "persistence,,"
         assert by_name["proposed"].count(",") == 2
         assert by_name["proposed"] != "proposed,,"
 

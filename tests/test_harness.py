@@ -8,6 +8,7 @@ import pytest
 from opinionlab import harness
 from opinionlab.data import OpinionDataset, ProfileCorpus, SplitSpec, chronological_split
 from opinionlab.harness import (
+    BASELINES,
     CellResult,
     GridSpec,
     ablation_sinn_vs_nn,
@@ -234,8 +235,8 @@ class TestAblation:
 class TestBaselinesAndReport:
     def test_run_baselines_all_methods(self):
         splits = tiny_splits(num_steps=20)
-        results = run_baselines(splits[0], splits[2], ["voter", "degroot", "aslm"], seed=0)
-        for method in ("voter", "degroot", "aslm"):
+        results = run_baselines(splits[0], splits[2], BASELINES, seed=0)
+        for method in ("voter", "degroot", "aslm", "persistence"):
             assert 0.0 <= results[method]["acc"] <= 1.0
             assert 0.0 <= results[method]["f1"] <= 1.0
             assert len(results[method]["predictions"]) == len(splits[2])
@@ -251,6 +252,6 @@ class TestBaselinesAndReport:
         assert header == ["method", "acc", "f1"]
         by_name = {r[0]: r for r in rows}
         assert by_name["voter"] == ["voter", "0.5", "0.25"]
-        assert [r[0] for r in rows] == ["voter", "degroot", "aslm", "nn", "proposed"]
-        assert by_name["nn"] == ["nn", "", ""]
+        assert [r[0] for r in rows] == ["voter", "degroot", "aslm", "persistence", "proposed"]
+        assert by_name["persistence"] == ["persistence", "", ""]
         assert by_name["proposed"] == ["proposed", "", ""]

@@ -640,6 +640,19 @@ class TestPredictAndCheckpoint:
         assert done.returncode == 0, done.stderr
         assert "'ode.m_factors' has shape (4, 2), expected (4, 1000000000)" in done.stdout
 
+    def test_load_rejects_context_that_overflows_pooling(self, tmp_path):
+        """Finite context entries near the float limit overflow the attention
+        scores; loading raises ValueError rather than a model whose every
+        prediction fails."""
+        cfg = TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0)
+        path = tmp_path / "checkpoint.json"
+        save_model(build_model(tiny_dataset(), tiny_profiles(), cfg), path)
+        doc = json.loads(path.read_text())
+        doc["context"] = [-1.4e308, 0.08, -1.4e308, -0.13]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'context' gives non-finite"):
+            load_model(path, tiny_profiles())
+
     def test_load_rejects_non_object(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         path.write_text("[1, 2]")
