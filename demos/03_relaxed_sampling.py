@@ -13,6 +13,7 @@ Run from the repository root:
 
 import numpy as np
 
+from opinionlab.autodiff import Tensor
 from opinionlab.model import gumbel_noise, gumbel_softmax
 
 p = np.array([0.2, 0.3, 0.5])
@@ -23,7 +24,7 @@ noise = gumbel_noise(rng, (n, 3))
 print(f"target distribution: {p.tolist()}  ({n} samples per row)\n")
 print(f"{'tau':>6s} {'argmax frequencies':>26s} {'mean max prob':>14s}")
 for tau in (5.0, 1.0, 0.5, 0.1):
-    z = gumbel_softmax(np.tile(p, (n, 1)), tau, noise)
+    z = gumbel_softmax(Tensor(np.tile(p, (n, 1))), tau, noise).data
     freq = np.bincount(z.argmax(axis=1), minlength=3) / n
     print(f"{tau:6.1f} {np.round(freq, 3).tolist()!s:>26s} {z.max(axis=1).mean():14.3f}")
 

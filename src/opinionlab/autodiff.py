@@ -4,10 +4,6 @@ A ``Tensor`` wraps a float64 ndarray and records the operations applied to
 it.  Calling ``backward()`` on a scalar result walks the recorded graph in
 reverse topological order and accumulates gradients into every reachable
 leaf.  Only the handful of ops the rest of the package needs are provided.
-
-The module-level helpers (``exp``, ``log``, ``tanh``, ``absolute``,
-``maximum``, ``sigmoid``) dispatch on their argument, so numerical code
-written against them works unchanged on plain ndarrays and on ``Tensor``s.
 """
 
 from __future__ import annotations
@@ -18,12 +14,6 @@ __all__ = [
     "Tensor",
     "as_tensor",
     "concat",
-    "exp",
-    "log",
-    "tanh",
-    "absolute",
-    "maximum",
-    "sigmoid",
     "softmax",
     "Adam",
 ]
@@ -67,18 +57,11 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, grad: np.ndarray):
         grad = _unbroadcast(grad, self.data.shape)
@@ -180,18 +163,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return as_tensor(other) / self
 
-    def __pow__(self, exponent: float):
-        if isinstance(exponent, Tensor):
-            raise TypeError("tensor exponents: use exp(e * log(base)) instead")
-        out = Tensor(self.data**exponent, (self,))
-
-        def _backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        out._backward = _backward
-        return out
-
     def __matmul__(self, other):
         other = as_tensor(other)
         out = Tensor(self.data @ other.data, (self, other))
@@ -291,10 +262,6 @@ class Tensor:
         out._backward = _backward
         return out
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) / float(n)
-
     def reshape(self, *shape):
         out = Tensor(self.data.reshape(*shape), (self,))
 
@@ -358,44 +325,10 @@ def concat(tensors, axis=0) -> Tensor:
     return out
 
 
-# ----- dispatching helpers (work on Tensor and ndarray alike) ----------------
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
-def tanh(x):
-    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
-
-
-def absolute(x):
-    return x.abs() if isinstance(x, Tensor) else np.abs(x)
-
-
-def maximum(a, b):
-    if isinstance(a, Tensor) or isinstance(b, Tensor):
-        return as_tensor(a).maximum(b)
-    return np.maximum(a, b)
-
-
-def sigmoid(x):
-    # 0.5 * (1 + tanh(x/2)) is the numerically safe form for both backends.
-    return 0.5 * (tanh(x * 0.5) + 1.0)
-
-
-def softmax(x, axis=-1):
-    """Softmax along `axis`; stable for both backends."""
-    if isinstance(x, Tensor):
-        shift = np.max(x.data, axis=axis, keepdims=True)  # constant offset
-        e = (x - shift).exp()
-        return e / e.sum(axis=axis, keepdims=True)
-    shift = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - shift)
+def softmax(x: Tensor, axis=-1) -> Tensor:
+    """Softmax along `axis`, shifted by the row maximum for stability."""
+    shift = np.max(x.data, axis=axis, keepdims=True)  # constant offset
+    e = (x - shift).exp()
     return e / e.sum(axis=axis, keepdims=True)
 
 

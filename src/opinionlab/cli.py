@@ -99,11 +99,15 @@ def _load_data(doc: dict):
     data = doc.get("data", {})
     if "dataset" not in data:
         raise CliError('run config needs a "data" section with a "dataset" path')
+    for key in ("dataset", "profiles"):
+        if not isinstance(data.get(key, ""), str):
+            raise CliError(f"bad data configuration: {key} must be a path string, got {data[key]!r}")
+    frac = data.get("split", [0.5, 0.2, 0.3])
+    if not (isinstance(frac, list) and len(frac) == 3
+            and all(type(f) in (int, float) and abs(f) <= sys.float_info.max for f in frac)):
+        raise CliError(f"bad data configuration: split must be [train, val, test] fractions, got {frac!r}")
     dataset = load_dataset(data["dataset"])
     profiles = load_profiles(data["profiles"]) if "profiles" in data else ProfileCorpus({})
-    frac = data.get("split", [0.5, 0.2, 0.3])
-    if len(frac) != 3:
-        raise CliError('"split" must be [train, val, test] fractions')
     splits = chronological_split(dataset, SplitSpec(*[float(f) for f in frac]))
     return dataset, profiles, splits
 

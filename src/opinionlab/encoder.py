@@ -110,27 +110,25 @@ class AttentionParams:
         return [self.context]
 
 
-def attention_weights(word_vectors, mask, context):
+def attention_weights(word_vectors, mask, context: Tensor) -> Tensor:
     """Softmax attention weights over token positions.
 
     `word_vectors` is (..., N, b) and `mask` (..., N); pads are pushed out
-    of the softmax.  Works on ndarrays and on a Tensor context vector.
+    of the softmax.
     """
     scores = (word_vectors * context).sum(axis=-1)
     scores = scores + (np.asarray(mask) - 1.0) * MASK_NEG
     return ad.softmax(scores, axis=-1)
 
 
-def attention_pool(word_vectors, mask, context):
+def attention_pool(word_vectors, mask, context: Tensor) -> Tensor:
     """Weighted average of word vectors under attention; (..., b) output.
 
     All-masked input yields the zero vector (the pad rows are zero, so any
     weighting of them vanishes).
     """
     weights = attention_weights(word_vectors, mask, context)
-    if isinstance(weights, Tensor):
-        return (weights.reshape(*weights.shape, 1) * word_vectors).sum(axis=-2)
-    return (weights[..., None] * word_vectors).sum(axis=-2)
+    return (weights.reshape(*weights.shape, 1) * word_vectors).sum(axis=-2)
 
 
 class CorpusEncoding:
@@ -155,14 +153,13 @@ class CorpusEncoding:
 def top_attention_words(corpus: ProfileCorpus, user_ids, table: EmbeddingTable,
                         params: AttentionParams, k: int):
     """Words ranked by mean attention weight across the profiles using them."""
-    context = params.context.data if isinstance(params.context, Tensor) else params.context
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
     for u in user_ids:
         tokens, mask = tokenize_and_pad(corpus.get(u))
         if mask.sum() == 0:
             continue
-        weights = attention_weights(table.embed(tokens), mask, context)
+        weights = attention_weights(table.embed(tokens), mask, params.context).data
         for token, m, w in zip(tokens, mask, weights):
             if m > 0:
                 totals[token] = totals.get(token, 0.0) + float(w)

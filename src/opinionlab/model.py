@@ -28,9 +28,9 @@ from . import autodiff as ad
 from . import network
 from .autodiff import Adam, Tensor
 from .data import OpinionDataset, ProfileCorpus, label_to_continuous
-from .encoder import AttentionParams, CorpusEncoding, EmbeddingTable, attention_pool
+from .encoder import AttentionParams, CorpusEncoding, EmbeddingTable
 from .metrics import compute_metrics
-from .simulate import sbcm_partner_matrix
+from .simulate import DISTANCE_EPS
 
 VARIANTS = ("degroot", "fj", "bcm", "sbcm")
 
@@ -98,10 +98,24 @@ def gumbel_noise(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log(-np.log(np.clip(u, 1e-300, 1.0 - 1e-16)))
 
 
-def gumbel_softmax(p, tau: float, noise):
-    """softmax((log p + g) / tau); differentiable when `p` is a Tensor."""
-    logits = (ad.log(ad.maximum(p, PROB_FLOOR)) + noise) * (1.0 / tau)
+def gumbel_softmax(p: Tensor, tau: float, noise) -> Tensor:
+    """softmax((log p + g) / tau), differentiable in `p`."""
+    logits = (p.maximum(PROB_FLOOR).log() + noise) * (1.0 / tau)
     return ad.softmax(logits, axis=-1)
+
+
+def sbcm_partner_matrix(opinions: Tensor, rho) -> Tensor:
+    """Row-stochastic matrix of partner probabilities, zero diagonal.
+
+    Opinions shaped (U,) give a (U, U) matrix and (J, U) give J of them;
+    row u holds `simulate.sbcm_partner_probs` for user u, differentiable in
+    the opinions and in `rho`.
+    """
+    *lead, n = opinions.shape
+    dist = (opinions.reshape(*lead, n, 1) - opinions.reshape(*lead, 1, n)).abs()
+    w = (dist.maximum(DISTANCE_EPS).log() * (-1.0 * rho)).exp()
+    w = w * (1.0 - np.eye(n))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 # ----- ODE right-hand sides ----------------------------------------------------
@@ -125,7 +139,7 @@ def fj_rhs_all(x, innate, susceptibility):
 def bcm_rhs_all(x, delta, gamma):
     *lead, n = x.shape
     diff = x.reshape(*lead, 1, n) - x.reshape(*lead, n, 1)  # diff[..., u, v] = x_v - x_u
-    gate = ad.sigmoid((delta - ad.absolute(diff)) * gamma)
+    gate = _sigmoid((delta - diff.abs()) * gamma)
     return (gate * diff).sum(axis=-1)
 
 
@@ -169,7 +183,7 @@ class OdeParams:
         return [getattr(self, name) for name in ODE_LEAVES[self.variant]]
 
     def susceptibility(self):
-        return ad.sigmoid(self.raw_s)
+        return _sigmoid(self.raw_s)
 
     def delta(self):
         return _softplus(self.raw_delta)
@@ -196,8 +210,13 @@ class OdeParams:
                                             self.innate.shape)
 
 
-def _softplus(x):
-    return ad.log(1.0 + ad.exp(x))
+def _softplus(x: Tensor) -> Tensor:
+    return (1.0 + x.exp()).log()
+
+
+def _sigmoid(x: Tensor) -> Tensor:
+    # 0.5 * (1 + tanh(x/2)) stays finite where 1 / (1 + exp(-x)) overflows.
+    return 0.5 * ((x * 0.5).tanh() + 1.0)
 
 
 class SinnModel:
@@ -258,7 +277,7 @@ class SinnModel:
         return x_hat.reshape(-1, 1) * self.head_w + self.head_b
 
     def predict_proba(self, user_ids, times, encoding: CorpusEncoding | None = None) -> np.ndarray:
-        """(n, C) class probabilities; pure numpy, no graph.
+        """(n, C) class probabilities as an ndarray.
 
         `encoding` overrides the profile encoding the model was built with.
         """
@@ -266,16 +285,15 @@ class SinnModel:
         if np.any(user_ids < 0) or np.any(user_ids >= self.num_users):
             raise ValueError("unknown user id")
         encoding = self.encoding if encoding is None else encoding
-        h_all = attention_pool(encoding.word_vectors, encoding.masks, self.attention.context.data)
+        h_all = encoding.encode_all(self.attention).data
         inputs = network.build_inputs(
             np.atleast_1d(np.asarray(times, dtype=float)),
             self._eye[user_ids],
             h_all[user_ids],
             self.time_scale,
         )
-        x_hat = network.forward_inputs(self.fnn, inputs).data
-        logits = x_hat[:, None] * self.head_w.data + self.head_b.data
-        return ad.softmax(logits, axis=-1)
+        x_hat = network.forward_inputs(self.fnn, inputs)
+        return ad.softmax(self.logits(x_hat), axis=-1).data
 
     def snapshot(self) -> list[np.ndarray]:
         return [p.data.copy() for p in self.parameters()]
@@ -330,13 +348,13 @@ def data_loss(model: SinnModel, users, times, labels, profile_matrix):
     labels = np.asarray(labels, dtype=int)
     if np.any(labels >= model.num_classes):
         raise ValueError("label out of range")
-    prof = profile_matrix[users] if isinstance(profile_matrix, Tensor) else np.asarray(profile_matrix)[users]
-    inputs = network.build_inputs(np.asarray(times, dtype=float), model._eye[users], prof, model.time_scale)
+    inputs = network.build_inputs(np.asarray(times, dtype=float), model._eye[users], profile_matrix[users],
+                                  model.time_scale)
     x_hat = network.forward_inputs(model.fnn, inputs)
     logits = model.logits(x_hat)
     shift = np.max(logits.data, axis=-1, keepdims=True)
     shifted = logits - shift
-    log_probs = shifted - ad.log(ad.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - shifted.exp().sum(axis=-1, keepdims=True).log()
     onehot = np.eye(model.num_classes)[labels]
     return -(log_probs * onehot).sum() / float(len(labels))
 
@@ -609,7 +627,7 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table)
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = attention_pool(encoding.word_vectors, encoding.masks, attention.context.data)
+        pooled = encoding.encode_all(attention).data
     if not np.all(np.isfinite(pooled)):
         raise ValueError("checkpoint field 'context' gives non-finite profile encodings")
     ode_doc = _checkpoint_field(doc, "ode")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .data import OpinionDataset, discretize_opinion
 
 DISTANCE_EPS = 1e-6
@@ -104,37 +103,18 @@ class InteractionLog:
         self.entries.append((step, initiator, partner))
 
 
-def interaction_weights(distances, rho):
-    """Unnormalized partner weights max(d, DISTANCE_EPS)^(-rho).
-
-    Works on ndarrays and on autodiff Tensors (rho may be a Tensor too),
-    so the simulator and the differentiable training path share one kernel.
-    """
-    return ad.exp(ad.log(ad.maximum(distances, DISTANCE_EPS)) * (-1.0 * rho))
-
-
 def sbcm_partner_probs(opinions, u: int, rho):
-    """Probability of user `u` picking each partner; entry u is zero."""
+    """Probability of user `u` picking each partner; entry u is zero.
+
+    The weights are max(|x_u - x_v|, DISTANCE_EPS)^(-rho), normalized.
+    """
     opinions = np.asarray(opinions, dtype=float)
     if opinions.size < 2:
         raise ValueError("need at least two users")
-    w = interaction_weights(np.abs(opinions[u] - opinions), rho)
+    dist = np.maximum(np.abs(opinions[u] - opinions), DISTANCE_EPS)
+    w = np.exp(np.log(dist) * (-1.0 * rho))
     w[u] = 0.0
     return w / w.sum()
-
-def sbcm_partner_matrix(opinions, rho):
-    """Row-stochastic matrix of partner probabilities, zero diagonal.
-
-    Accepts an ndarray or a Tensor of opinions shaped (U,), giving a (U, U)
-    matrix, or (J, U), giving J of them; with a Tensor the result is
-    differentiable in the opinions and in `rho`.
-    """
-    *lead, n = opinions.shape
-    dist = ad.absolute(opinions.reshape(*lead, n, 1) - opinions.reshape(*lead, 1, n))
-    w = interaction_weights(dist, rho)
-    off_diag = 1.0 - np.eye(n)
-    w = w * off_diag
-    return w / w.sum(axis=-1, keepdims=True)
 
 
 def step_sbcm(state: SimState, config: SbcmGenConfig, log: InteractionLog | None = None) -> SimState:

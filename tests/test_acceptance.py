@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from opinionlab import baselines, harness, model as model_mod, network, simulate
+from opinionlab.autodiff import Tensor
 from opinionlab.cli import main as cli_main
 from opinionlab.data import (
     OpinionDataset,
@@ -29,6 +30,14 @@ def report(criterion: str, ok: bool, detail: str = ""):
     line = f"[{'PASS' if ok else 'FAIL'}] {criterion}" + (f": {detail}" if detail else "")
     print(line)
     assert ok, line
+
+
+def persistence_f1(splits) -> float:
+    """Test macro-F1 of each user keeping their last train opinion; criteria
+    5 and 6 report it beside their own comparison."""
+    train_ds, test_ds = splits[0], splits[2]
+    preds = baselines.persistence_predict(baselines.regularize_series(train_ds), test_ds)
+    return compute_metrics(test_ds.labels(), preds, test_ds.num_classes).macro_f1
 
 
 def random_dataset(rng, num_users, num_classes, n, horizon):
@@ -140,7 +149,7 @@ def test_criterion_3_gumbel_softmax_fidelity():
     n = 20_000
     rng = np.random.default_rng(3)
     noise = gumbel_noise(rng, (n, 3))
-    z = gumbel_softmax(np.tile(p, (n, 1)), tau=0.1, noise=noise)
+    z = gumbel_softmax(Tensor(np.tile(p, (n, 1))), tau=0.1, noise=noise).data
     assert np.all(z >= 0)
     np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-9)
     picks = z.argmax(axis=1)
@@ -310,7 +319,8 @@ def test_criterion_6_ode_loss_trainability():
     voter_f1 = float(np.mean([compute_metrics(test.labels(), p, 5).macro_f1 for p in voter]))
     report("criterion 6 (ODE-residual trainability beats copying baseline)",
            drop >= 10.0 and model_f1 > voter_f1,
-           f"residual drop {drop:.0f}x, macro-F1 {model_f1:.3f} vs voter {voter_f1:.3f}")
+           f"residual drop {drop:.0f}x, macro-F1 {model_f1:.3f} vs voter {voter_f1:.3f}"
+           f" (persistence {persistence_f1(splits):.3f})")
 
 
 def test_criterion_5_ablation_regularized_vs_plain():
@@ -326,4 +336,5 @@ def test_criterion_5_ablation_regularized_vs_plain():
     med_sinn, med_nn = rows[-1]["sinn_f1"], rows[-1]["nn_f1"]
     report("criterion 5 (ODE regularization helps vs plain network, 5 seeds)",
            med_sinn >= med_nn,
-           f"median macro-F1 {med_sinn:.3f} (regularized) vs {med_nn:.3f} (plain)")
+           f"median macro-F1 {med_sinn:.3f} (regularized) vs {med_nn:.3f} (plain)"
+           f" (persistence {persistence_f1(splits):.3f})")

@@ -32,6 +32,10 @@ def check_grad(build, x: np.ndarray, atol: float = 1e-7, rtol: float = 1e-5):
     np.testing.assert_allclose(leaf.grad, fd, atol=atol, rtol=rtol)
 
 
+def square_sum(t: Tensor) -> Tensor:
+    return (t * t).sum()
+
+
 RNG = np.random.default_rng(7)
 
 
@@ -43,15 +47,6 @@ class TestElementwiseOps:
     def test_sub_div(self):
         x = RNG.standard_normal((5,)) + 3.0
         check_grad(lambda t: ((t - 0.5) / (t * t)).sum(), x)
-
-    def test_pow(self):
-        x = np.abs(RNG.standard_normal((4,))) + 0.5
-        check_grad(lambda t: (t**3).sum(), x)
-
-    def test_pow_tensor_exponent_rejected(self):
-        t = Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(TypeError):
-            t ** Tensor(np.ones(3))
 
     def test_tanh_exp_log(self):
         x = np.abs(RNG.standard_normal((6,))) + 0.2
@@ -94,15 +89,11 @@ class TestBroadcastingAndShapes:
 
     def test_sum_axis(self):
         x = RNG.standard_normal((3, 4, 2))
-        check_grad(lambda t: (t.sum(axis=1) ** 2).sum(), x)
+        check_grad(lambda t: square_sum(t.sum(axis=1)), x)
 
     def test_sum_keepdims(self):
         x = RNG.standard_normal((3, 4))
         check_grad(lambda t: (t / t.exp().sum(axis=1, keepdims=True)).sum(), x)
-
-    def test_mean(self):
-        x = RNG.standard_normal((6, 2))
-        check_grad(lambda t: (t.mean(axis=0) ** 2).sum(), x)
 
     def test_reshape_transpose(self):
         x = RNG.standard_normal((3, 4))
@@ -111,12 +102,12 @@ class TestBroadcastingAndShapes:
     def test_getitem_scatter(self):
         x = RNG.standard_normal((5,))
         idx = np.array([0, 2, 2, 4])  # repeated index must accumulate
-        check_grad(lambda t: (t[idx] ** 2).sum(), x)
+        check_grad(lambda t: square_sum(t[idx]), x)
 
     def test_concat(self):
         x = RNG.standard_normal((2, 3))
         other = RNG.standard_normal((2, 2))
-        check_grad(lambda t: (ad.concat([t, Tensor(other)], axis=1) ** 2).sum(), x)
+        check_grad(lambda t: square_sum(ad.concat([t, Tensor(other)], axis=1)), x)
 
 
 class TestMatmul:
@@ -136,25 +127,13 @@ class TestMatmul:
 
 
 class TestDispatchHelpers:
-    def test_ndarray_passthrough(self):
-        x = np.array([0.3, -1.2])
-        np.testing.assert_allclose(ad.exp(x), np.exp(x))
-        np.testing.assert_allclose(ad.log(np.abs(x)), np.log(np.abs(x)))
-        np.testing.assert_allclose(ad.tanh(x), np.tanh(x))
-        np.testing.assert_allclose(ad.absolute(x), np.abs(x))
-        np.testing.assert_allclose(ad.maximum(x, 0.0), np.maximum(x, 0.0))
-
-    def test_sigmoid_matches_logistic(self):
-        x = np.linspace(-20, 20, 41)
-        np.testing.assert_allclose(ad.sigmoid(x), 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
-
-    def test_sigmoid_extreme_inputs_finite(self):
-        assert np.isfinite(ad.sigmoid(np.array([-1e4, 1e4]))).all()
+    """The module-level softmax, and numpy handing mixed ndarray/Tensor
+    arithmetic to the Tensor."""
 
     def test_softmax_matches_direct(self):
         x = RNG.standard_normal((3, 5)) * 10
         expected = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(ad.softmax(x), expected, atol=1e-12)
+        np.testing.assert_allclose(ad.softmax(Tensor(x)).data, expected, atol=1e-12)
 
     def test_softmax_gradient(self):
         x = RNG.standard_normal((4,))

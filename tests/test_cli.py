@@ -251,6 +251,27 @@ class TestTrainCommand:
         assert err.startswith("error: bad model/train configuration") and key in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("split", 5, id="split_number"),
+        pytest.param("split", [None, 0.2, 0.8], id="split_null_entry"),
+        pytest.param("split", "abc", id="split_string"),
+        pytest.param("split", [True, 0, 0], id="split_bool_entry"),
+        pytest.param("split", [float("nan"), 0.5, 0.5], id="split_nan_entry"),
+        pytest.param("dataset", None, id="dataset_null"),
+        pytest.param("dataset", [1], id="dataset_list"),
+        pytest.param("dataset", {"a": 1}, id="dataset_object"),
+        pytest.param("profiles", 3, id="profiles_number"),
+    ])
+    def test_invalid_data_value_is_error(self, workspace, capsys, key, value):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        doc["data"][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["baseline", "--config", str(cfg_path), "--out", str(tmp_path / "bl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad data configuration") and key in err
+        assert not (tmp_path / "bl").exists()
+
     def test_missing_dataset_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"data": {"dataset": str(tmp_path / "nope.jsonl")}}))

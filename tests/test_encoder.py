@@ -77,22 +77,22 @@ class TestAttention:
     def test_two_word_hand_softmax(self):
         """Scores 1 and 0 give weights e/(e+1) and 1/(e+1)."""
         vectors = np.array([[1.0, 0.0], [0.0, 0.0]])
-        context = np.array([1.0, 0.0])
-        w = attention_weights(vectors, np.array([1.0, 1.0]), context)
+        context = Tensor(np.array([1.0, 0.0]))
+        w = attention_weights(vectors, np.array([1.0, 1.0]), context).data
         e = np.e
         np.testing.assert_allclose(w, [e / (e + 1), 1 / (e + 1)], atol=1e-12)
 
     def test_mask_pushes_out_pads(self):
         vectors = np.array([[1.0, 0.0], [5.0, 0.0]])
-        context = np.array([1.0, 0.0])
-        w = attention_weights(vectors, np.array([1.0, 0.0]), context)
+        context = Tensor(np.array([1.0, 0.0]))
+        w = attention_weights(vectors, np.array([1.0, 0.0]), context).data
         np.testing.assert_allclose(w, [1.0, 0.0], atol=1e-12)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((7, 3))
         mask = np.array([1, 1, 1, 1, 0, 0, 0], dtype=float)
-        w = attention_weights(vectors, mask, rng.standard_normal(3))
+        w = attention_weights(vectors, mask, Tensor(rng.standard_normal(3))).data
         assert w.sum() == pytest.approx(1.0)
 
     def test_pool_in_convex_hull(self):
@@ -102,14 +102,14 @@ class TestAttention:
         vectors = rng.standard_normal((5, 4))
         mask = np.array([1, 1, 1, 0, 0], dtype=float)
         vectors[3:] = 0.0  # pad rows
-        pooled = attention_pool(vectors, mask, rng.standard_normal(4))
+        pooled = attention_pool(vectors, mask, Tensor(rng.standard_normal(4))).data
         real = vectors[:3]
         assert np.all(pooled <= real.max(axis=0) + 1e-12)
         assert np.all(pooled >= real.min(axis=0) - 1e-12)
 
     def test_all_masked_gives_zero(self):
         vectors = np.zeros((3, 4))
-        pooled = attention_pool(vectors, np.zeros(3), np.ones(4))
+        pooled = attention_pool(vectors, np.zeros(3), Tensor(np.ones(4))).data
         np.testing.assert_array_equal(pooled, np.zeros(4))
 
     def test_context_gradient_matches_fd(self):
@@ -121,7 +121,7 @@ class TestAttention:
         context0 = rng.standard_normal(3)
 
         def loss_of(ctx):
-            return float((attention_pool(vectors, mask, ctx) * target).sum())
+            return (attention_pool(vectors, mask, Tensor(ctx)) * target).sum().item()
 
         ctx = Tensor(context0.copy(), requires_grad=True)
         (attention_pool(vectors, mask, ctx) * target).sum().backward()
@@ -138,10 +138,10 @@ class TestAttention:
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((4, 3))
         mask = np.array([1, 1, 1, 1], dtype=float)
-        context = rng.standard_normal(3)
-        pooled = attention_pool(vectors, mask, context)
+        context = Tensor(rng.standard_normal(3))
+        pooled = attention_pool(vectors, mask, context).data
         perm = np.array([2, 0, 3, 1])
-        pooled_perm = attention_pool(vectors[perm], mask[perm], context)
+        pooled_perm = attention_pool(vectors[perm], mask[perm], context).data
         np.testing.assert_allclose(pooled, pooled_perm, atol=1e-12)
 
 

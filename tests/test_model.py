@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opinionlab import autodiff as ad, model as model_mod, network
+from opinionlab import model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
+from opinionlab.simulate import sbcm_partner_probs
 from opinionlab.model import (
     VARIANTS,
     OdeParams,
@@ -37,6 +38,7 @@ from opinionlab.model import (
     ode_rhs_all,
     predict,
     save_model,
+    sbcm_partner_matrix,
     sbcm_rhs_all,
     total_loss,
     train,
@@ -127,7 +129,8 @@ def bcm_rhs(x_all, delta: float, gamma: float, u: int) -> float:
     """sum over v of sigmoid(gamma * (delta - |x_u - x_v|)) * (x_v - x_u)."""
     x = np.asarray(x_all, dtype=float)
     diff = x - x[u]
-    return float((ad.sigmoid(gamma * (delta - np.abs(diff))) * diff).sum())
+    gate = 0.5 * (np.tanh(0.5 * gamma * (delta - np.abs(diff))) + 1.0)
+    return float((gate * diff).sum())
 
 
 def sbcm_rhs(x_all, z_tilde, u: int) -> float:
@@ -188,7 +191,7 @@ class TestRhsContracts:
     def test_vectorized_bcm_matches_scalar(self):
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, 5)
-        all_vals = bcm_rhs_all(x, 0.4, 8.0)
+        all_vals = bcm_rhs_all(Tensor(x), 0.4, 8.0).data
         for u in range(5):
             assert all_vals[u] == pytest.approx(bcm_rhs(x, 0.4, 8.0, u))
 
@@ -206,7 +209,7 @@ class TestGumbelSoftmax:
         rng = np.random.default_rng(0)
         p = np.array([0.2, 0.3, 0.5])
         for _ in range(100):
-            z = gumbel_softmax(p, 0.5, gumbel_noise(rng, p.shape))
+            z = gumbel_softmax(Tensor(p), 0.5, gumbel_noise(rng, p.shape)).data
             assert np.all(z >= 0)
             assert z.sum() == pytest.approx(1.0)
 
@@ -217,7 +220,7 @@ class TestGumbelSoftmax:
         p = np.array([0.2, 0.3, 0.5])
         n = 20_000
         noise = gumbel_noise(rng, (n, 3))
-        relaxed = gumbel_softmax(np.tile(p, (n, 1)), tau=0.1, noise=noise)
+        relaxed = gumbel_softmax(Tensor(np.tile(p, (n, 1))), tau=0.1, noise=noise).data
         oracle_pick = np.argmax(np.log(p) + noise, axis=1)
         np.testing.assert_array_equal(relaxed.argmax(axis=1), oracle_pick)
         freq = np.bincount(oracle_pick, minlength=3) / n
@@ -232,8 +235,7 @@ class TestGumbelSoftmax:
         assert np.all(np.isfinite(p.grad))
 
     def test_zero_probability_floored(self):
-        z = gumbel_softmax(np.array([0.0, 1.0]), tau=0.5,
-                           noise=np.zeros(2))
+        z = gumbel_softmax(Tensor(np.array([0.0, 1.0])), tau=0.5, noise=np.zeros(2)).data
         assert np.all(np.isfinite(z))
         assert z[1] > z[0]
 
@@ -241,8 +243,54 @@ class TestGumbelSoftmax:
         rng = np.random.default_rng(3)
         p = rng.dirichlet(np.ones(4), size=6)
         noise = gumbel_noise(rng, (6, 4))
-        z = gumbel_softmax(p, tau=0.3, noise=noise)
+        z = gumbel_softmax(Tensor(p), tau=0.3, noise=noise).data
         np.testing.assert_allclose(z.sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestPartnerMatrix:
+    """The trainer's differentiable partner matrix against the simulator's
+    per-user probabilities."""
+
+    def test_matrix_matches_per_user(self):
+        x = np.array([[0.1, -0.4, 0.7, 0.3], [0.15, -0.3, 0.6, -0.9]])
+        rho = Tensor(np.array(0.8))
+        expected = np.array([[sbcm_partner_probs(row, u, rho=0.8) for u in range(4)] for row in x])
+        np.testing.assert_allclose(sbcm_partner_matrix(Tensor(x[0]), rho).data, expected[0], atol=1e-12)
+        np.testing.assert_allclose(sbcm_partner_matrix(Tensor(x), rho).data, expected, atol=1e-12)
+
+    def test_gradient_in_rho_and_opinions(self):
+        x0 = np.array([[0.15, -0.3, 0.6, 0.05, -0.9], [0.4, -0.1, 0.8, -0.6, 0.2]])
+        rho0 = np.array(0.7)
+        target = np.random.default_rng(4).standard_normal((2, 5, 5))
+
+        def loss(x, rho):
+            return (sbcm_partner_matrix(x, rho) * target).sum()
+
+        def central_difference(f, base, eps=1e-6):
+            grad = np.zeros(base.shape)
+            for i in np.ndindex(base.shape):
+                up, down = base.copy(), base.copy()
+                up[i] += eps
+                down[i] -= eps
+                grad[i] = (f(up) - f(down)) / (2 * eps)
+            return grad
+
+        x, rho = Tensor(x0, requires_grad=True), Tensor(rho0, requires_grad=True)
+        loss(x, rho).backward()
+        fd_x = central_difference(lambda v: loss(Tensor(v), Tensor(rho0)).item(), x0)
+        fd_rho = central_difference(lambda v: loss(Tensor(x0), Tensor(v)).item(), rho0)
+        np.testing.assert_allclose(x.grad, fd_x, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(rho.grad, fd_rho, rtol=1e-5, atol=1e-8)
+
+
+class TestSigmoid:
+    def test_matches_logistic(self):
+        x = np.linspace(-20, 20, 41)
+        np.testing.assert_allclose(model_mod._sigmoid(Tensor(x)).data, 1.0 / (1.0 + np.exp(-x)), atol=1e-12)
+
+    def test_extreme_inputs_finite(self):
+        with np.errstate(over="raise"):
+            assert np.isfinite(model_mod._sigmoid(Tensor(np.array([-1e4, 1e4]))).data).all()
 
 
 class TestOdeParams:

@@ -15,3 +15,14 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
     exec(f"from {name} import *", {})
+
+
+@pytest.mark.parametrize("name", ["simulate", "data", "baselines", "metrics"])
+def test_numpy_layers_hold_no_autodiff(name):
+    """The simulator, data, baseline and metric layers are plain numpy: they
+    hold neither the autodiff module nor anything defined in it."""
+    module = importlib.import_module(f"opinionlab.{name}")
+    autodiff = importlib.import_module("opinionlab.autodiff")
+    held = [attr for attr, value in vars(module).items()
+            if value is autodiff or getattr(value, "__module__", None) == autodiff.__name__]
+    assert held == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from opinionlab import simulate
-from opinionlab.autodiff import Tensor
 from opinionlab.data import discretize_opinion
 from opinionlab.simulate import (
     InteractionLog,
@@ -13,7 +12,6 @@ from opinionlab.simulate import (
     cluster_summary,
     generate_sbcm_dataset,
     preset_config,
-    sbcm_partner_matrix,
     sbcm_partner_probs,
     step_degroot,
     step_sbcm,
@@ -93,21 +91,6 @@ class TestPartnerProbs:
         draws = rng.choice(4, size=50_000, p=p)
         freq = np.bincount(draws, minlength=4) / 50_000
         assert np.abs(freq - p).max() < 0.01
-
-    def test_matrix_matches_per_user(self):
-        x = np.array([0.1, -0.4, 0.7, 0.3])
-        mat = sbcm_partner_matrix(x, rho=0.8)
-        for u in range(4):
-            np.testing.assert_allclose(mat[u], sbcm_partner_probs(x, u, rho=0.8), atol=1e-12)
-
-    def test_matrix_tensor_path_equals_numpy(self):
-        """The differentiable path computes the same probabilities as the
-        plain simulator kernel."""
-        x = np.array([0.15, -0.3, 0.6, 0.05, -0.9])
-        mat_np = sbcm_partner_matrix(x, rho=0.7)
-        mat_t = sbcm_partner_matrix(Tensor(x, requires_grad=True),
-                                    Tensor(np.array(0.7), requires_grad=True))
-        np.testing.assert_allclose(mat_t.data, mat_np, atol=1e-12)
 
     def test_needs_two_users(self):
         with pytest.raises(ValueError):
