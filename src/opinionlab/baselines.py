@@ -107,6 +107,8 @@ def voter_predict(series: RegularSeries, test: OpinionDataset, repeats: int = 10
     """Simulate uniform-random opinion copying forward from the end of the
     train series to each test post.
 
+    One rng.integers call per repeat draws the same sources as one per step.
+
     Returns an (repeats, n_test) array of predicted labels; callers score
     each run and average the metrics.
     """
@@ -122,8 +124,9 @@ def voter_predict(series: RegularSeries, test: OpinionDataset, repeats: int = 10
         states = np.empty((horizon_steps + 1, num_users))
         states[0] = x_end
         x = x_end
+        sources = rng.integers(0, num_users, size=(horizon_steps, num_users))
         for k in range(1, horizon_steps + 1):
-            x = x[rng.integers(0, num_users, size=num_users)]
+            x = x[sources[k - 1]]
             states[k] = x
         preds[r] = discretize_opinion(states[steps, test_users], test.num_classes)
     return preds

@@ -104,11 +104,12 @@ class SplitSpec:
     test_frac: float
 
     def __post_init__(self):
+        for name in ("train_frac", "val_frac", "test_frac"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be a fraction in [0, 1], got {getattr(self, name)!r}")
         total = self.train_frac + self.val_frac + self.test_frac
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"split fractions sum to {total}, expected 1")
-        if min(self.train_frac, self.val_frac, self.test_frac) < 0:
-            raise ValueError("split fractions must be non-negative")
 
 
 def discretize_opinion(x: float, num_classes: int = 5):

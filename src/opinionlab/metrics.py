@@ -33,11 +33,11 @@ def confusion_matrix(true_labels, pred_labels, num_classes: int) -> np.ndarray:
     pred_labels = np.asarray(pred_labels, dtype=int)
     if true_labels.shape != pred_labels.shape:
         raise ValueError("label vectors must have equal length")
-    if true_labels.size and (true_labels.max() >= num_classes or pred_labels.max() >= num_classes):
+    if true_labels.size and (min(true_labels.min(), pred_labels.min()) < 0
+                             or max(true_labels.max(), pred_labels.max()) >= num_classes):
         raise ValueError("label out of range")
-    matrix = np.zeros((num_classes, num_classes), dtype=int)
-    np.add.at(matrix, (true_labels, pred_labels), 1)
-    return matrix
+    pairs = true_labels.reshape(-1) * num_classes + pred_labels.reshape(-1)
+    return np.bincount(pairs, minlength=num_classes * num_classes).reshape(num_classes, num_classes)
 
 
 def compute_metrics(true_labels, pred_labels, num_classes: int) -> Metrics:

@@ -11,6 +11,7 @@ clustering of the population.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -111,26 +112,31 @@ def sbcm_partner_probs(opinions, u: int, rho):
     opinions = np.asarray(opinions, dtype=float)
     if opinions.size < 2:
         raise ValueError("need at least two users")
-    dist = np.maximum(np.abs(opinions[u] - opinions), DISTANCE_EPS)
-    w = np.exp(np.log(dist) * (-1.0 * rho))
+    w = np.abs(opinions[u] - opinions)
+    np.log(np.maximum(w, DISTANCE_EPS, out=w), out=w)
+    np.exp(np.multiply(w, -1.0 * rho, out=w), out=w)
     w[u] = 0.0
-    return w / w.sum()
+    return w / np.add.reduce(w)
 
 
 def step_sbcm(state: SimState, config: SbcmGenConfig, log: InteractionLog | None = None) -> SimState:
-    """One generator step: sampled initiators interact sequentially."""
+    """One generator step: sampled initiators interact sequentially.
+
+    Partners are drawn as rng.choice(num_users, p=probs) would, without its
+    argument checks; one rng.random(k) gives the same uniforms as k calls.
+    """
     x = state.opinions.copy()
     rng = state.rng
     initiators = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
-    for u in initiators:
-        # rng.choice(num_users, p=probs)'s own draw, without its argument checks.
-        cdf = sbcm_partner_probs(x, int(u), config.rho).cumsum()
-        if not np.isfinite(cdf[-1]):
+    uniforms = rng.random(config.initiators_per_step)
+    for u, r in zip(initiators.tolist(), uniforms.tolist()):
+        cdf = np.add.accumulate(sbcm_partner_probs(x, u, config.rho))
+        if not math.isfinite(cdf[-1]):
             raise ValueError(f"non-finite partner probabilities (rho={config.rho})")
         cdf /= cdf[-1]
-        v = int(cdf.searchsorted(rng.random(), side="right"))
+        v = int(cdf.searchsorted(r, side="right"))
         if log is not None:
-            log.add(state.step, int(u), v)
+            log.add(state.step, u, v)
         if config.update_rule == "attractive":
             x[u] = x[u] + config.mu * (x[v] - x[u])
         else:

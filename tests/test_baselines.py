@@ -200,6 +200,35 @@ class TestArrayFormsMatchLoops:
         np.testing.assert_array_equal(preds,
                                       voter_predict_loop(train, test_posts, repeats=4, seed=seed))
 
+    @pytest.mark.parametrize("num_users", [6, 7])
+    @pytest.mark.parametrize("repeats", [1, 10])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_voter_batched_draws_match_per_step_calls(self, num_users, repeats, seed):
+        """The array form draws a repeat's copy sources in one call; the
+        loop draws one step at a time.  Odd and even user counts, horizons
+        of at least 5 steps and test posts before the end of training pin
+        the generator's stream property that makes the two equal."""
+        rng = np.random.default_rng(seed)
+        train = make_dataset(random_posts(rng, num_users, 20), num_users)
+        series = regularize_series(train)
+        test_posts = random_posts(rng, num_users, 10, t0=series.t_end - 3.0)
+        test = make_dataset(test_posts, num_users)
+        assert test.times().min() < series.t_end
+        assert np.ceil((test.times().max() - series.t_end) / series.dt) >= 5
+        preds = voter_predict(series, test, repeats=repeats, seed=seed)
+        np.testing.assert_array_equal(
+            preds, voter_predict_loop(train, test_posts, repeats=repeats, seed=seed))
+
+    @pytest.mark.parametrize("num_users", [1, 2, 5, 200, 201])
+    def test_one_integers_call_equals_per_row_calls(self, num_users):
+        """The stream property itself: one (rows, U) draw of integers equals
+        `rows` draws of U, for odd and even U."""
+        batched, stepped = np.random.default_rng(9), np.random.default_rng(9)
+        for rows in (1, 5, 6):
+            np.testing.assert_array_equal(
+                batched.integers(0, num_users, size=(rows, num_users)),
+                [stepped.integers(0, num_users, size=num_users) for _ in range(rows)])
+
     def test_degroot_repeated_times(self):
         """Several test posts per time, some before the end of training."""
         rng = np.random.default_rng(5)

@@ -186,6 +186,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             SplitSpec(1.2, -0.1, -0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", ["train_frac", "val_frac", "test_frac"])
+    def test_non_finite_fraction_rejected(self, bad, position):
+        """A NaN fraction passes both the sum and the sign check unless it is
+        refused by name; chronological_split would then fail converting it."""
+        fractions = {"train_frac": 0.5, "val_frac": 0.2, "test_frac": 0.3, position: bad}
+        with pytest.raises(ValueError, match=position):
+            SplitSpec(**fractions)
+
 
 class TestFileIO:
     def test_round_trip(self, tmp_path):

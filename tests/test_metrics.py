@@ -45,6 +45,25 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             confusion_matrix([0, 2], [0, 1], 2)
 
+    @pytest.mark.parametrize("true, pred", [([-1], [0]), ([0], [-1]), ([0, 1, -2], [1, 1, 1])])
+    def test_negative_label_rejected(self, true, pred):
+        """A label of -1 must not wrap around into the last class."""
+        with pytest.raises(ValueError, match="label out of range"):
+            confusion_matrix(true, pred, 3)
+
+    @pytest.mark.parametrize("num_classes", [1, 2, 5, 9])
+    def test_matches_add_at_randomized(self, num_classes):
+        """The pair count against the unbuffered scatter-add it replaced."""
+        rng = np.random.default_rng(num_classes)
+        for n in [0, 1, 2, 17, 12_000]:
+            true = rng.integers(0, num_classes, size=n)
+            pred = rng.integers(0, num_classes, size=n)
+            expected = np.zeros((num_classes, num_classes), dtype=int)
+            np.add.at(expected, (true, pred), 1)
+            got = confusion_matrix(true, pred, num_classes)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
 
 class TestComputeMetrics:
     def test_hand_derived_example(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opinionlab import simulate
 from opinionlab.data import discretize_opinion
@@ -159,15 +160,42 @@ class TestSbcmStep:
         np.testing.assert_array_equal(gen_trajectory, trajectory)
         assert gen_log.entries == log.entries
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_generator_matches_rng_choice_property(self, data):
+        """Any size, initiator count up to U, update rule and exponent: the
+        generator's trajectory and log equal the rng.choice oracle's, and
+        the log holds plain ints."""
+        num_users = data.draw(st.integers(2, 60), label="num_users")
+        initiators = data.draw(st.one_of(st.just(num_users), st.integers(1, num_users)),
+                               label="initiators")
+        config = SbcmGenConfig(
+            num_users=num_users, initiators_per_step=initiators,
+            num_steps=data.draw(st.integers(1, 8), label="num_steps"),
+            rho=data.draw(st.floats(-3.0, 20.0), label="rho"),
+            mu=data.draw(st.floats(0.01, 1.0), label="mu"),
+            update_rule=data.draw(st.sampled_from(["attractive", "additive"]), label="rule"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        trajectory, log = run_generator(config, step_sbcm_choice)
+        _, gen_log, gen_trajectory = generate_sbcm_dataset(config)
+        np.testing.assert_array_equal(gen_trajectory, trajectory)
+        assert gen_log.entries == log.entries
+        assert len(gen_log.entries) == config.num_steps * initiators
+        assert all(type(part) is int for entry in gen_log.entries for part in entry)
+
     def test_overflowing_rho_raises(self):
         """rho = 1000 overflows the partner weights to inf and the
-        probabilities to NaN; the step raises as rng.choice does."""
-        config = SbcmGenConfig(num_users=10, initiators_per_step=3, rho=1000.0, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError):
-                run_generator(config, step_sbcm_choice)
-            with pytest.raises(ValueError, match="non-finite partner probabilities"):
-                generate_sbcm_dataset(config)
+        probabilities to NaN; the step raises as rng.choice does, under either
+        rule and with one, some or all users initiating."""
+        for rule in ("attractive", "additive"):
+            for initiators in (1, 3, 10):
+                config = SbcmGenConfig(num_users=10, initiators_per_step=initiators, rho=1000.0,
+                                       update_rule=rule, seed=0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    with pytest.raises(ValueError):
+                        run_generator(config, step_sbcm_choice)
+                    with pytest.raises(ValueError, match="non-finite partner probabilities"):
+                        generate_sbcm_dataset(config)
 
     def test_log_rejects_self_interaction(self):
         with pytest.raises(ValueError):
