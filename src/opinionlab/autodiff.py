@@ -13,7 +13,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "as_tensor",
-    "concat",
     "softmax",
     "Adam",
 ]
@@ -305,24 +304,6 @@ class Tensor:
 
 def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    parts = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-
-    def _backward(grad):
-        offset = 0
-        for p in parts:
-            n = p.data.shape[axis]
-            sl = [slice(None)] * grad.ndim
-            sl[axis] = slice(offset, offset + n)
-            if p.requires_grad:
-                p._accumulate(grad[tuple(sl)])
-            offset += n
-
-    out._backward = _backward
-    return out
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:

@@ -211,7 +211,10 @@ class OdeParams:
 
 
 def _softplus(x: Tensor) -> Tensor:
-    return (1.0 + x.exp()).log()
+    # max(x, 0) + log(1 + exp(-|x|)) stays finite where log(1 + exp(x))
+    # overflows, and |x|'s zero slope at 0 gives the exact gradient 0.5 there.
+    magnitude = x.abs()
+    return 0.5 * (x + magnitude) + (1.0 + (magnitude * -1.0).exp()).log()
 
 
 def _sigmoid(x: Tensor) -> Tensor:
@@ -237,7 +240,6 @@ class SinnModel:
         self.horizon = horizon
         self.config = config
         self.time_scale = 1.0 / horizon if horizon > 0 else 1.0
-        self._eye = np.eye(num_users)
         # With no profile text at all the pooled vectors are exactly zero.
         self._no_profiles = not encoding.masks.any()
 
@@ -264,13 +266,9 @@ class SinnModel:
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         j = len(times)
-        if isinstance(profile_matrix, Tensor):
-            profiles = ad.concat([profile_matrix] * j, axis=0)
-        else:
-            profiles = np.tile(profile_matrix, (j, 1))
-        inputs = network.build_inputs(np.repeat(times, self.num_users),
-                                      np.tile(self._eye, (j, 1)), profiles, self.time_scale)
-        x_hat, dx_dt = network.forward_with_time_derivative(self.fnn, inputs, self.time_scale)
+        users = np.tile(np.arange(self.num_users), j)
+        x_hat, dx_dt = network.forward_with_time_derivative(
+            self.fnn, np.repeat(times, self.num_users), users, profile_matrix[users], self.time_scale)
         return x_hat.reshape(j, self.num_users), dx_dt.reshape(j, self.num_users)
 
     def logits(self, x_hat):
@@ -286,13 +284,8 @@ class SinnModel:
             raise ValueError("unknown user id")
         encoding = self.encoding if encoding is None else encoding
         h_all = encoding.encode_all(self.attention).data
-        inputs = network.build_inputs(
-            np.atleast_1d(np.asarray(times, dtype=float)),
-            self._eye[user_ids],
-            h_all[user_ids],
-            self.time_scale,
-        )
-        x_hat = network.forward_inputs(self.fnn, inputs)
+        x_hat = network.forward(self.fnn, np.atleast_1d(np.asarray(times, dtype=float)), user_ids,
+                                h_all[user_ids], self.time_scale)
         return ad.softmax(self.logits(x_hat), axis=-1).data
 
     def snapshot(self) -> list[np.ndarray]:
@@ -343,14 +336,16 @@ def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: Train
 
 
 def data_loss(model: SinnModel, users, times, labels, profile_matrix):
-    """Mean cross-entropy between head probabilities and observed labels."""
-    users = np.asarray(users, dtype=int)
-    labels = np.asarray(labels, dtype=int)
-    if np.any(labels >= model.num_classes):
-        raise ValueError("label out of range")
-    inputs = network.build_inputs(np.asarray(times, dtype=float), model._eye[users], profile_matrix[users],
-                                  model.time_scale)
-    x_hat = network.forward_inputs(model.fnn, inputs)
+    """Mean cross-entropy between head probabilities and observed labels.
+
+    A user id or label that is not an integer in range raises ValueError.
+    """
+    users, labels = np.asarray(users), np.asarray(labels)
+    for name, ids, bound in (("user id", users, model.num_users), ("label", labels, model.num_classes)):
+        if ids.dtype.kind not in "iu" or np.any(ids < 0) or np.any(ids >= bound):
+            raise ValueError(f"{name} out of range [0, {bound}) or not an integer")
+    x_hat = network.forward(model.fnn, np.asarray(times, dtype=float), users, profile_matrix[users],
+                            model.time_scale)
     logits = model.logits(x_hat)
     shift = np.max(logits.data, axis=-1, keepdims=True)
     shifted = logits - shift

@@ -123,14 +123,14 @@ def test_criterion_2_time_derivative_path():
         embed = int(rng.integers(1, 5))
         params = network.init_params(num_layers, width, 1 + num_users + embed, seed=case)
         batch = int(rng.integers(1, 6))
-        onehot = np.eye(num_users)[rng.integers(0, num_users, size=batch)]
+        users = rng.integers(0, num_users, size=batch)
         prof = rng.standard_normal((batch, embed))
         t = rng.uniform(0, 10, size=batch)
         scale = float(rng.uniform(0.05, 1.0))
-        _, deriv = network.value_and_time_derivative(params, t, onehot, prof, scale)
+        _, deriv = network.forward_with_time_derivative(params, t, users, prof, scale)
         eps = 1e-5
-        fd = (network.forward(params, t + eps, onehot, prof, scale).data
-              - network.forward(params, t - eps, onehot, prof, scale).data) / (2 * eps)
+        fd = (network.forward(params, t + eps, users, prof, scale).data
+              - network.forward(params, t - eps, users, prof, scale).data) / (2 * eps)
         denom = np.maximum(np.abs(fd), np.abs(deriv.data))
         err = np.abs(deriv.data - fd)
         rel = np.where(denom < 1e-6, 0.0, err / np.maximum(denom, 1e-300))

@@ -104,11 +104,6 @@ class TestBroadcastingAndShapes:
         idx = np.array([0, 2, 2, 4])  # repeated index must accumulate
         check_grad(lambda t: square_sum(t[idx]), x)
 
-    def test_concat(self):
-        x = RNG.standard_normal((2, 3))
-        other = RNG.standard_normal((2, 2))
-        check_grad(lambda t: square_sum(ad.concat([t, Tensor(other)], axis=1)), x)
-
 
 class TestMatmul:
     @pytest.mark.parametrize("sa,sb", [((3, 4), (4, 2)), ((4,), (4, 2)), ((3, 4), (4,)),

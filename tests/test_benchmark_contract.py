@@ -4,11 +4,14 @@
 are, and one operation of each reduced-size (SMOKE) workload runs through
 the package, once plain and once with every public function traced.  A
 renamed function, a changed signature or a failing output check shows here
-rather than in a benchmark run.
+rather than in a benchmark run.  So does a call that no longer passes the
+tracer's hooks what they count, such as per-row times as the second
+argument of `network.forward_with_time_derivative`.
 """
 
 import importlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,3 +54,8 @@ def test_smoke_workload_operation(name):
     assert traced.failures == []
     assert traced.digest == plain.digest
     assert sum(v for (k, _), v in tracer.counts.items() if k == "hook_errors") == 0
+    if isinstance(workload, workloads.TrainingWorkload):
+        # Every regularized step evaluates all users at each collocation point.
+        steps = math.ceil(len(inputs[0][0]) / workloads.BATCH_SIZE) * workload.epochs
+        rows = sum(v for (k, _), v in tracer.counts.items() if k == "tangent_rows")
+        assert rows == workload.num_users * workload.collocation * steps

@@ -293,6 +293,25 @@ class TestSigmoid:
             assert np.isfinite(model_mod._sigmoid(Tensor(np.array([-1e4, 1e4]))).data).all()
 
 
+class TestSoftplus:
+    POINTS = [-800.0, -3.0, 0.0, 0.3, 3.0, 800.0]
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_value_finite_and_exact(self, x):
+        with np.errstate(over="raise"):
+            got = model_mod._softplus(Tensor(x)).item()
+        assert got == pytest.approx(np.logaddexp(0.0, x), rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("x", POINTS)
+    def test_gradient_matches_finite_difference(self, x):
+        leaf = Tensor(x, requires_grad=True)
+        model_mod._softplus(leaf).backward()
+        eps = 1e-6
+        fd = (np.logaddexp(0.0, x + eps) - np.logaddexp(0.0, x - eps)) / (2 * eps)
+        assert leaf.grad == pytest.approx(fd, rel=1e-8, abs=1e-12)
+        assert leaf.grad == pytest.approx(0.5 * (1.0 + np.tanh(x / 2)), rel=1e-14, abs=1e-300)
+
+
 class TestOdeParams:
     def test_reparameterized_initial_values(self):
         cfg = TrainConfig(variant="bcm")
@@ -372,6 +391,18 @@ class TestLosses:
         with pytest.raises(ValueError):
             total_loss(m, users, times, labels, np.array([1.0]), noise_per_point=None)
 
+    @pytest.mark.parametrize("user, label", [(-1, 0), (2, 0), (1.5, 0), (0, -1), (0, 3)],
+                             ids=["user-1", "user-U", "user-1.5", "label-1", "label-C"])
+    def test_data_loss_refuses_bad_user_or_label(self, user, label):
+        """A user id or label outside the model's range (or not an integer)
+        raises instead of being scored: -1 would read the last class or, for
+        a user, W_0's time row."""
+        ds = tiny_dataset(num_users=2)
+        m = build_model(ds, tiny_profiles(2), TrainConfig(variant="fj", num_layers=1, width=3,
+                                                          embed_dim=4, seed=0))
+        with pytest.raises(ValueError, match="out of range"):
+            data_loss(m, np.array([0, user]), np.array([1.0, 2.0]), np.array([1, label]), m.encode_users())
+
     def test_divergence_detected(self):
         cfg = TrainConfig(variant="fj", alpha=1.0, num_layers=1, width=3,
                           embed_dim=4, seed=0)
@@ -386,8 +417,8 @@ def per_point_ode_loss(m, times, profile_matrix, noise):
     """ode_loss as a loop over collocation points on (U,) opinion vectors."""
     total = 0.0
     for j, t in enumerate(times):
-        inputs = network.build_inputs(np.full(m.num_users, t), m._eye, profile_matrix, m.time_scale)
-        x_hat, dx_dt = network.forward_with_time_derivative(m.fnn, inputs, m.time_scale)
+        x_hat, dx_dt = network.forward_with_time_derivative(
+            m.fnn, np.full(m.num_users, t), np.arange(m.num_users), profile_matrix, m.time_scale)
         residual = dx_dt - ode_rhs_all(m, x_hat, noise[j])
         total = (residual * residual).sum() + total
     return total / float(len(times))
@@ -590,6 +621,28 @@ class TestPredictAndCheckpoint:
             users, times = ds.users(), ds.times()
             np.testing.assert_allclose(loaded.predict_proba(users, times),
                                        m.predict_proba(users, times), atol=1e-12)
+
+    def test_checkpoint_weight_rows_are_time_users_profile(self, tmp_path):
+        """The raw checkpoint's first weight matrix, applied to the one-hot
+        input [t / horizon, one-hot(user), profile], gives what the loaded
+        model predicts: checkpoints keep W_0's row order."""
+        ds = tiny_dataset(num_users=5)
+        profiles = tiny_profiles(5)
+        m, _ = train((ds, ds), profiles, TrainConfig(variant="bcm", num_layers=2, width=4, embed_dim=3,
+                                                     epochs=3, seed=4))
+        save_model(m, tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        loaded = load_model(tmp_path / "model.json", profiles)
+        users, times = ds.users(), ds.times()
+        pooled = loaded.encoding.encode_all(loaded.attention).data
+        a = np.concatenate([times[:, None] / doc["horizon"], np.eye(doc["num_users"])[users], pooled[users]],
+                           axis=1)
+        for w, b in zip(doc["fnn"]["weights"], doc["fnn"]["biases"]):
+            a = np.tanh(a @ np.array(w) + np.array(b))
+        logits = a * np.array(doc["head_w"]) + np.array(doc["head_b"])
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(loaded.predict_proba(users, times), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("variant, edit, field", [
         pytest.param("sbcm", lambda d: d.update(num_users=6), "fnn.weights", id="num_users"),
