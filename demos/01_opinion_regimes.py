@@ -28,7 +28,7 @@ def describe(name: str, seed: int = 0) -> None:
 
     print(f"--- {name} (rho={config.rho}, {config.update_rule} update) ---")
     print(f"  users={config.num_users}  steps={config.num_steps}  "
-          f"interactions={len(log.entries)}")
+          f"interactions={log.shape[0] * log.shape[1]}")
     print(f"  opinion std: {trajectory[:, 0].std():.3f} -> {trajectory[:, -1].std():.3f}")
     print(f"  final clusters at {np.round(centers, 2).tolist()}  (max gap {gap:.2f})")
     print(f"  dataset: {len(dataset)} posts, {dataset.num_classes} classes")

@@ -17,6 +17,8 @@ import numpy as np
 
 from .data import OpinionDataset, discretize_opinion, label_to_continuous
 
+RIDGE = 1e-6  # λ of the DeGroot and ASLM least-squares fits
+
 
 @dataclass
 class RegularSeries:
@@ -50,7 +52,6 @@ class AslmFit:
     x_end: np.ndarray
     t_end: float
     grid_dt: float
-    ridge: float
 
 
 def default_grid_dt(dataset: OpinionDataset) -> float:
@@ -135,7 +136,7 @@ def voter_predict(series: RegularSeries, test: OpinionDataset, repeats: int = 10
 # ----- linear-influence fit --------------------------------------------------------
 
 
-def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
+def fit_degroot(series: RegularSeries) -> DegrootFit:
     """Least-squares fit of dx/dt = A x with a zero diagonal.
 
     Row u of A regresses user u's rates on the other users' opinions, with
@@ -159,7 +160,7 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
     x0 = x[:, :-1]
     rates = (x[:, 1:] - x[:, :-1]) / series.dt
     if num_steps - 1 < num_users - 1:
-        step_gram = x0.T @ x0 + ridge * np.eye(num_steps - 1)
+        step_gram = x0.T @ x0 + RIDGE * np.eye(num_steps - 1)
         solved = np.linalg.solve(step_gram, np.hstack([rates.T, x0.T]))   # (S-1, 2U)
         k_rates, k_opinions = solved[:, :num_users], solved[:, num_users:]
         gain = np.einsum("us,su->u", x0, k_rates) / (1.0 - np.einsum("us,su->u", x0, k_opinions))
@@ -172,7 +173,7 @@ def fit_degroot(series: RegularSeries, ridge: float = 1e-6) -> DegrootFit:
             design = x0[others].T                      # (S-1, U-1)
             gram = design.T @ design
             if np.linalg.cond(gram) > 1e12:
-                gram = gram + ridge * np.eye(num_users - 1)
+                gram = gram + RIDGE * np.eye(num_users - 1)
             interaction[u, others] = np.linalg.solve(gram, design.T @ rates[u])
     return DegrootFit(interaction, x[:, -1].copy(), series.t_end, series.dt)
 
@@ -194,7 +195,7 @@ def degroot_predict(fit: DegrootFit, test: OpinionDataset) -> np.ndarray:
 # ----- one-step linear regression ---------------------------------------------------
 
 
-def fit_aslm(series: RegularSeries, ridge: float = 1e-6) -> AslmFit:
+def fit_aslm(series: RegularSeries) -> AslmFit:
     """Ridge regression of each step on the previous one.
 
     The map is fit in difference form, x(t+1) = x(t) + G x(t) + b, so the
@@ -207,11 +208,11 @@ def fit_aslm(series: RegularSeries, ridge: float = 1e-6) -> AslmFit:
         raise ValueError("need a grid with at least two steps")
     design = np.hstack([x[:, :-1].T, np.ones((num_steps - 1, 1))])  # (S-1, U+1)
     target = (x[:, 1:] - x[:, :-1]).T                                # (S-1, U)
-    gram = design.T @ design + ridge * np.eye(num_users + 1)
+    gram = design.T @ design + RIDGE * np.eye(num_users + 1)
     coef = np.linalg.solve(gram, design.T @ target)                  # (U+1, U)
     weights = np.eye(num_users) + coef[:-1].T
     bias = coef[-1]
-    return AslmFit(weights, bias, x[:, -1].copy(), series.t_end, series.dt, ridge)
+    return AslmFit(weights, bias, x[:, -1].copy(), series.t_end, series.dt)
 
 
 def aslm_predict(fit: AslmFit, test: OpinionDataset) -> np.ndarray:

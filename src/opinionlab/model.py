@@ -277,15 +277,18 @@ class SinnModel:
     def predict_proba(self, user_ids, times, encoding: CorpusEncoding | None = None) -> np.ndarray:
         """(n, C) class probabilities as an ndarray.
 
-        `encoding` overrides the profile encoding the model was built with.
+        `user_ids` must be integers in [0, num_users), one per time; anything
+        else raises ValueError.  `encoding` overrides the profile encoding the
+        model was built with.
         """
-        user_ids = np.atleast_1d(np.asarray(user_ids, dtype=int))
-        if np.any(user_ids < 0) or np.any(user_ids >= self.num_users):
-            raise ValueError("unknown user id")
+        user_ids = np.atleast_1d(_check_ids(user_ids, "user id", self.num_users))
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if user_ids.ndim != 1 or user_ids.shape != times.shape:
+            raise ValueError(f"user ids {user_ids.shape} and times {times.shape} must be "
+                             "1-d and of equal length")
         encoding = self.encoding if encoding is None else encoding
         h_all = encoding.encode_all(self.attention).data
-        x_hat = network.forward(self.fnn, np.atleast_1d(np.asarray(times, dtype=float)), user_ids,
-                                h_all[user_ids], self.time_scale)
+        x_hat = network.forward(self.fnn, times, user_ids, h_all[user_ids], self.time_scale)
         return ad.softmax(self.logits(x_hat), axis=-1).data
 
     def snapshot(self) -> list[np.ndarray]:
@@ -335,15 +338,21 @@ def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: Train
 # ----- losses -------------------------------------------------------------------
 
 
+def _check_ids(ids, name: str, bound: int) -> np.ndarray:
+    """`ids` as an array; ValueError unless every entry is an integer in [0, bound)."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or np.any(ids < 0) or np.any(ids >= bound):
+        raise ValueError(f"{name} out of range [0, {bound}) or not an integer")
+    return ids
+
+
 def data_loss(model: SinnModel, users, times, labels, profile_matrix):
     """Mean cross-entropy between head probabilities and observed labels.
 
     A user id or label that is not an integer in range raises ValueError.
     """
-    users, labels = np.asarray(users), np.asarray(labels)
-    for name, ids, bound in (("user id", users, model.num_users), ("label", labels, model.num_classes)):
-        if ids.dtype.kind not in "iu" or np.any(ids < 0) or np.any(ids >= bound):
-            raise ValueError(f"{name} out of range [0, {bound}) or not an integer")
+    users = _check_ids(users, "user id", model.num_users)
+    labels = _check_ids(labels, "label", model.num_classes)
     x_hat = network.forward(model.fnn, np.asarray(times, dtype=float), users, profile_matrix[users],
                             model.time_scale)
     logits = model.logits(x_hat)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,20 +42,6 @@ def preset_config(name: str, **overrides) -> "SbcmGenConfig":
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     merged = {**PRESETS[name], **overrides}
     return SbcmGenConfig(**merged)
-
-
-@dataclass
-class SimState:
-    """Continuous opinions of all users at one step, plus the RNG."""
-
-    opinions: np.ndarray
-    step: int
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        self.opinions = np.asarray(self.opinions, dtype=float)
-        if not np.all(np.isfinite(self.opinions)):
-            raise ValueError("non-finite opinions")
 
 
 @dataclass(frozen=True)
@@ -92,18 +78,6 @@ def _finite(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-@dataclass
-class InteractionLog:
-    """(step, initiator, partner) triples of realized interactions."""
-
-    entries: list[tuple[int, int, int]] = field(default_factory=list)
-
-    def add(self, step: int, initiator: int, partner: int):
-        if initiator == partner:
-            raise ValueError("self-interaction")
-        self.entries.append((step, initiator, partner))
-
-
 def sbcm_partner_probs(opinions, u: int, rho):
     """Probability of user `u` picking each partner; entry u is zero.
 
@@ -119,38 +93,32 @@ def sbcm_partner_probs(opinions, u: int, rho):
     return w / np.add.reduce(w)
 
 
-def step_sbcm(state: SimState, config: SbcmGenConfig, log: InteractionLog | None = None) -> SimState:
-    """One generator step: sampled initiators interact sequentially.
-
-    Partners are drawn as rng.choice(num_users, p=probs) would, without its
-    argument checks; one rng.random(k) gives the same uniforms as k calls.
-    """
-    x = state.opinions.copy()
-    rng = state.rng
-    initiators = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
+def step_sbcm(opinions: np.ndarray, rng: np.random.Generator, config: SbcmGenConfig) -> np.ndarray:
+    """One generator step, in place on float `opinions`; returns the (k, 2) int64
+    (initiator, partner) pairs in draw order.  Partners are drawn as rng.choice
+    would draw them, without its checks; one rng.random(k) equals k calls."""
+    if np.asarray(opinions).dtype.kind != "f":
+        raise TypeError("opinions must be floats: step_sbcm updates them in place")
+    pairs = np.empty((config.initiators_per_step, 2), dtype=np.int64)
+    pairs[:, 0] = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
     uniforms = rng.random(config.initiators_per_step)
-    for u, r in zip(initiators.tolist(), uniforms.tolist()):
-        cdf = np.add.accumulate(sbcm_partner_probs(x, u, config.rho))
+    for i, (u, r) in enumerate(zip(pairs[:, 0].tolist(), uniforms.tolist())):
+        cdf = np.add.accumulate(sbcm_partner_probs(opinions, u, config.rho))
         if not math.isfinite(cdf[-1]):
             raise ValueError(f"non-finite partner probabilities (rho={config.rho})")
         cdf /= cdf[-1]
         v = int(cdf.searchsorted(r, side="right"))
-        if log is not None:
-            log.add(state.step, u, v)
+        pairs[i, 1] = v
         if config.update_rule == "attractive":
-            x[u] = x[u] + config.mu * (x[v] - x[u])
+            opinions[u] = opinions[u] + config.mu * (opinions[v] - opinions[u])
         else:
-            x[u] = x[u] + config.mu * x[v]
-    return SimState(x, state.step + 1, rng)
+            opinions[u] = opinions[u] + config.mu * opinions[v]
+    return pairs
 
 
-def step_degroot(state: SimState, weights: np.ndarray) -> SimState:
-    """Synchronous update x_u += sum_{v != u} a_uv x_v; the diagonal of
-    `weights` is ignored."""
-    a = np.array(weights, dtype=float)
-    np.fill_diagonal(a, 0.0)
-    x = state.opinions + a @ state.opinions
-    return replace(state, opinions=x, step=state.step + 1)
+def _check_finite(opinions: np.ndarray):
+    if not np.isfinite(opinions).all():
+        raise ValueError("non-finite opinions")
 
 
 def trajectory_to_dataset(trajectory: np.ndarray, num_classes: int = 5) -> OpinionDataset:
@@ -163,30 +131,31 @@ def trajectory_to_dataset(trajectory: np.ndarray, num_classes: int = 5) -> Opini
 
 
 def generate_sbcm_dataset(config: SbcmGenConfig):
-    """Run the generator and return (dataset, interaction log, U x T trajectory)."""
+    """Run the generator: (dataset, log, U x T trajectory), where the log is
+    a (num_steps, k, 2) int64 array of each step's step_sbcm pairs."""
     rng = np.random.default_rng(config.seed)
-    low, high = config.init_range
-    state = SimState(rng.uniform(low, high, size=config.num_users), 0, rng)
-    log = InteractionLog()
+    opinions = rng.uniform(*config.init_range, size=config.num_users)
+    log = np.empty((config.num_steps, config.initiators_per_step, 2), dtype=np.int64)
     trajectory = np.empty((config.num_users, config.num_steps))
     for t in range(config.num_steps):
-        trajectory[:, t] = state.opinions
-        state = step_sbcm(state, config, log)
+        trajectory[:, t] = opinions
+        log[t] = step_sbcm(opinions, rng, config)
+        _check_finite(opinions)
     return trajectory_to_dataset(trajectory), log, trajectory
 
 
-def generate_degroot_dataset(num_users: int, num_steps: int, weights: np.ndarray,
-                             num_classes: int = 5, seed: int = 0,
-                             init_range: tuple[float, float] = (-1.0, 1.0)):
-    """Synchronous DeGroot rollout, discretized like the SBCM generator."""
-    rng = np.random.default_rng(seed)
-    low, high = init_range
-    state = SimState(rng.uniform(low, high, size=num_users), 0, rng)
+def generate_degroot_dataset(num_users: int, num_steps: int, weights: np.ndarray, seed: int = 0):
+    """Synchronous rollout x_u += sum_{v != u} a_uv x_v from uniform opinions
+    in [-1, 1], discretized like the SBCM generator (diagonal of `weights` ignored)."""
+    opinions = np.random.default_rng(seed).uniform(-1.0, 1.0, size=num_users)
+    a = np.array(weights, dtype=float)
+    np.fill_diagonal(a, 0.0)
     trajectory = np.empty((num_users, num_steps))
     for t in range(num_steps):
-        trajectory[:, t] = state.opinions
-        state = step_degroot(state, weights)
-    return trajectory_to_dataset(trajectory, num_classes), trajectory
+        trajectory[:, t] = opinions
+        opinions = opinions + a @ opinions
+        _check_finite(opinions)
+    return trajectory_to_dataset(trajectory), trajectory
 
 
 # ----- regime diagnostics and file export -------------------------------------
@@ -233,8 +202,9 @@ def save_trajectory_csv(trajectory: np.ndarray, path):
             writer.writerow([t] + [repr(float(v)) for v in trajectory[:, t]])
 
 
-def save_interactions_csv(log: InteractionLog, path):
+def save_interactions_csv(log: np.ndarray, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "initiator", "partner"])
-        writer.writerows(log.entries)
+        for t, pairs in enumerate(log.tolist()):
+            writer.writerows([t, u, v] for u, v in pairs)

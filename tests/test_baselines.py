@@ -452,7 +452,7 @@ class TestAslmFit:
     def test_predict_iterates_step(self):
         rng = np.random.default_rng(3)
         w = np.eye(3) * 0.9
-        fit = baselines.AslmFit(w, np.zeros(3), rng.uniform(-1, 1, 3), 0.0, 1.0, 1e-6)
+        fit = baselines.AslmFit(w, np.zeros(3), rng.uniform(-1, 1, 3), 0.0, 1.0)
         x = fit.x_end.copy()
         for _ in range(4):
             x = aslm_step(fit, x)
@@ -461,7 +461,7 @@ class TestAslmFit:
         np.testing.assert_array_equal(preds, [discretize_opinion(v) for v in x])
 
     def test_empty_test_posts(self):
-        fit = baselines.AslmFit(np.eye(2), np.zeros(2), np.zeros(2), 0.0, 1.0, 1e-6)
+        fit = baselines.AslmFit(np.eye(2), np.zeros(2), np.zeros(2), 0.0, 1.0)
         assert aslm_predict(fit, OpinionDataset([], [], [], 2, 5, 0.0)).shape == (0,)
 
 

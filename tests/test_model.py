@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from opinionlab import model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
-from opinionlab.simulate import sbcm_partner_probs
+from opinionlab.simulate import generate_sbcm_dataset, preset_config, sbcm_partner_probs
 from opinionlab.model import (
     VARIANTS,
     OdeParams,
@@ -54,6 +54,10 @@ def tiny_dataset(num_users=4, num_steps=6, num_classes=3, seed=0):
 
 def tiny_profiles(num_users=4):
     return ProfileCorpus({u: f"profile text number {u}" for u in range(num_users)})
+
+
+def tiny_model():
+    return build_model(tiny_dataset(), tiny_profiles(), TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0))
 
 
 class TestConfig:
@@ -281,6 +285,43 @@ class TestPartnerMatrix:
         fd_rho = central_difference(lambda v: loss(Tensor(x0), Tensor(v)).item(), rho0)
         np.testing.assert_allclose(x.grad, fd_x, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(rho.grad, fd_rho, rtol=1e-5, atol=1e-8)
+
+
+LANDSCAPE_RHOS = (-2.0, -1.0, 0.0, 0.05, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+@cache
+def consensus_steps():
+    """Opinions and one-step differences of the first 15 steps of the
+    consensus generator (U=50, T=100, k=5, so mu*k/U = 0.01), seeds 0-2,
+    stacked as (45, U) rows."""
+    xs, dxs = [], []
+    for seed in range(3):
+        config = preset_config("consensus", num_users=50, num_steps=100, initiators_per_step=5, seed=seed)
+        traj = generate_sbcm_dataset(config)[2]
+        xs.append(traj[:, :15].T)
+        dxs.append(np.diff(traj[:, :16]).T)
+    return np.concatenate(xs), np.concatenate(dxs)
+
+
+class TestResidualLandscape:
+    """The sbcm ODE residual on the generator's own trajectory, with the
+    partner probabilities p in place of the Gumbel draw, must be smallest at
+    the generating rho = -1.  Nothing is trained."""
+
+    @pytest.mark.parametrize("rate", [
+        pytest.param(0.01, id="rate-mu-k-over-U"),
+        pytest.param(1.0, id="unit-rate", marks=pytest.mark.xfail(
+            strict=True, reason="the sbcm right-hand side has no rate, so the slow data favour "
+                                "the largest rho (ROADMAP item 13)")),
+    ])
+    def test_sbcm_residual_smallest_at_generating_rho(self, rate):
+        x, dx = consensus_steps()
+        residuals = []
+        for rho in LANDSCAPE_RHOS:
+            r = dx - rate * sbcm_rhs_all(x, sbcm_partner_matrix(Tensor(x), rho).data)
+            residuals.append(float((r * r).sum()))
+        assert LANDSCAPE_RHOS[int(np.argmin(residuals))] == -1.0
 
 
 class TestSigmoid:
@@ -593,6 +634,35 @@ class TestPredictAndCheckpoint:
         for user in (99, -1):
             with pytest.raises(ValueError):
                 predict(m, user, 1.0, profiles=tiny_profiles())
+
+    @pytest.mark.parametrize("users", [[1.5], [True], [1.0], ["1"], [-1], [4]],
+                             ids=["float", "bool", "integral-float", "str", "negative", "U"])
+    def test_predict_proba_refuses_non_integer_or_unknown_id(self, users):
+        """An id that is not an integer in [0, U) raises instead of being
+        truncated or cast to another user's id."""
+        m = tiny_model()
+        with pytest.raises(ValueError, match="user id out of range"):
+            m.predict_proba(users, [1.0])
+
+    def test_predict_refuses_float_id(self):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="user id out of range"):
+            predict(m, 2.7, 1.0)
+
+    @pytest.mark.parametrize("users, times", [([0, 1], [1.0]), ([0], [1.0, 2.0]), ([[0, 1]], [[1.0, 2.0]])],
+                             ids=["more-ids", "more-times", "2-d"])
+    def test_predict_proba_refuses_mismatched_shapes(self, users, times):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="equal length"):
+            m.predict_proba(users, times)
+
+    def test_predict_proba_accepts_any_integer_dtype(self):
+        m = tiny_model()
+        want = m.predict_proba([0, 3, 1], [1.0, 2.0, 0.5])
+        for dtype in (np.int32, np.uint8, np.int64):
+            np.testing.assert_array_equal(
+                m.predict_proba(np.array([0, 3, 1], dtype=dtype), [1.0, 2.0, 0.5]), want)
+        np.testing.assert_array_equal(m.predict_proba(3, 2.0), want[1:2])
 
     def test_profile_override_matches_predict_proba(self):
         ds = tiny_dataset()

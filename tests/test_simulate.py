@@ -7,49 +7,51 @@ from hypothesis import given, settings, strategies as st
 from opinionlab import simulate
 from opinionlab.data import discretize_opinion
 from opinionlab.simulate import (
-    InteractionLog,
     SbcmGenConfig,
-    SimState,
     cluster_summary,
+    generate_degroot_dataset,
     generate_sbcm_dataset,
     preset_config,
     sbcm_partner_probs,
-    step_degroot,
     step_sbcm,
 )
 
 
-def make_state(opinions, seed=0, step=0):
-    return SimState(np.asarray(opinions, dtype=float), step, np.random.default_rng(seed))
-
-
-def step_sbcm_choice(state, config, log=None):
+def step_sbcm_choice(x, rng, config):
     """The generator step with its partner drawn by rng.choice: the oracle
-    for step_sbcm's direct inverse-CDF draw."""
-    x = state.opinions.copy()
-    rng = state.rng
+    for step_sbcm's direct inverse-CDF draw.  Updates `x` in place and
+    returns the (initiator, partner) pairs."""
+    pairs = []
     initiators = rng.choice(config.num_users, size=config.initiators_per_step, replace=False)
     for u in initiators:
         v = int(rng.choice(config.num_users, p=sbcm_partner_probs(x, int(u), config.rho)))
-        if log is not None:
-            log.add(state.step, int(u), v)
+        pairs.append((int(u), v))
         if config.update_rule == "attractive":
             x[u] = x[u] + config.mu * (x[v] - x[u])
         else:
             x[u] = x[u] + config.mu * x[v]
-    return SimState(x, state.step + 1, rng)
+    return pairs
 
 
 def run_generator(config, step):
     """generate_sbcm_dataset's loop with a given step function: (trajectory, log)."""
     rng = np.random.default_rng(config.seed)
-    state = SimState(rng.uniform(*config.init_range, size=config.num_users), 0, rng)
-    log = InteractionLog()
+    x = rng.uniform(*config.init_range, size=config.num_users)
+    log = []
     trajectory = np.empty((config.num_users, config.num_steps))
     for t in range(config.num_steps):
-        trajectory[:, t] = state.opinions
-        state = step(state, config, log)
-    return trajectory, log
+        trajectory[:, t] = x
+        log.append(step(x, rng, config))
+    return trajectory, np.array(log, dtype=np.int64)
+
+
+def assert_log_matches(gen_log, log, config):
+    """The generator's log equals the oracle's, has the documented shape and
+    dtype, and pairs no initiator with itself."""
+    assert gen_log.dtype == np.int64
+    assert gen_log.shape == (config.num_steps, config.initiators_per_step, 2)
+    np.testing.assert_array_equal(gen_log, log)
+    assert not np.any(gen_log[..., 0] == gen_log[..., 1])
 
 
 class TestPartnerProbs:
@@ -103,46 +105,52 @@ class TestSbcmStep:
         # mu=0.1, x_u=0.5, partner at 1.0 -> 0.6
         cfg = SbcmGenConfig(num_users=2, initiators_per_step=1, mu=0.1,
                             rho=0.0, update_rule="additive", seed=0)
-        state = make_state([0.5, 1.0], seed=1)
-        new = step_sbcm(state, cfg)
-        moved = new.opinions != state.opinions
+        before = np.array([0.5, 1.0])
+        x = before.copy()
+        pairs = step_sbcm(x, np.random.default_rng(1), cfg)
+        moved = x != before
         assert moved.sum() == 1
         u = int(np.flatnonzero(moved)[0])
-        expected = state.opinions[u] + 0.1 * state.opinions[1 - u]
-        assert new.opinions[u] == pytest.approx(expected)
+        assert pairs.tolist() == [[u, 1 - u]]
+        assert x[u] == pytest.approx(before[u] + 0.1 * before[1 - u])
 
     def test_attractive_full_step_lands_on_partner(self):
         cfg = SbcmGenConfig(num_users=2, initiators_per_step=1, mu=1.0,
                             rho=0.0, update_rule="attractive", seed=0)
-        state = make_state([0.0, 0.8])
-        new = step_sbcm(state, cfg)
+        x = np.array([0.0, 0.8])
+        step_sbcm(x, np.random.default_rng(0), cfg)
         # whichever user initiated landed exactly on the other's opinion
-        assert list(new.opinions) in ([0.8, 0.8], [0.0, 0.0])
+        assert list(x) in ([0.8, 0.8], [0.0, 0.0])
 
     def test_attractive_equal_opinions_unchanged(self):
         cfg = SbcmGenConfig(num_users=3, initiators_per_step=2, mu=0.5, rho=1.0)
-        state = make_state([0.4, 0.4, 0.4])
-        new = step_sbcm(state, cfg)
-        np.testing.assert_array_equal(new.opinions, state.opinions)
+        x = np.full(3, 0.4)
+        step_sbcm(x, np.random.default_rng(0), cfg)
+        np.testing.assert_array_equal(x, 0.4)
 
     def test_attractive_convex_hull_invariant(self):
         cfg = SbcmGenConfig(num_users=30, initiators_per_step=10, mu=0.8, rho=0.5)
         rng = np.random.default_rng(5)
-        state = SimState(rng.uniform(-1, 1, 30), 0, rng)
-        lo, hi = state.opinions.min(), state.opinions.max()
+        x = rng.uniform(-1, 1, 30)
+        lo, hi = x.min(), x.max()
         for _ in range(50):
-            state = step_sbcm(state, cfg)
-            assert state.opinions.min() >= lo - 1e-12
-            assert state.opinions.max() <= hi + 1e-12
+            step_sbcm(x, rng, cfg)
+            assert x.min() >= lo - 1e-12
+            assert x.max() <= hi + 1e-12
 
     def test_log_records_initiators(self):
         cfg = SbcmGenConfig(num_users=10, initiators_per_step=4, rho=0.0)
-        log = InteractionLog()
-        step_sbcm(make_state(np.linspace(-1, 1, 10)), cfg, log)
-        assert len(log.entries) == 4
-        for step, u, v in log.entries:
-            assert step == 0
-            assert u != v
+        pairs = step_sbcm(np.linspace(-1, 1, 10), np.random.default_rng(0), cfg)
+        assert pairs.shape == (4, 2)
+        assert pairs.dtype == np.int64
+        assert len(set(pairs[:, 0].tolist())) == 4
+        assert np.all(pairs[:, 0] != pairs[:, 1])
+
+    def test_integer_opinions_refused(self):
+        """The in-place update would truncate integer opinions."""
+        cfg = SbcmGenConfig(num_users=3, initiators_per_step=1, mu=0.5, rho=0.0)
+        with pytest.raises(TypeError, match="floats"):
+            step_sbcm(np.array([0, 1, 2]), np.random.default_rng(0), cfg)
 
     @pytest.mark.parametrize("preset, rho", [
         *[pytest.param(name, None, id=name) for name in sorted(simulate.PRESETS)],
@@ -158,14 +166,13 @@ class TestSbcmStep:
         trajectory, log = run_generator(config, step_sbcm_choice)
         _, gen_log, gen_trajectory = generate_sbcm_dataset(config)
         np.testing.assert_array_equal(gen_trajectory, trajectory)
-        assert gen_log.entries == log.entries
+        assert_log_matches(gen_log, log, config)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_generator_matches_rng_choice_property(self, data):
         """Any size, initiator count up to U, update rule and exponent: the
-        generator's trajectory and log equal the rng.choice oracle's, and
-        the log holds plain ints."""
+        generator's trajectory and log equal the rng.choice oracle's."""
         num_users = data.draw(st.integers(2, 60), label="num_users")
         initiators = data.draw(st.one_of(st.just(num_users), st.integers(1, num_users)),
                                label="initiators")
@@ -179,9 +186,7 @@ class TestSbcmStep:
         trajectory, log = run_generator(config, step_sbcm_choice)
         _, gen_log, gen_trajectory = generate_sbcm_dataset(config)
         np.testing.assert_array_equal(gen_trajectory, trajectory)
-        assert gen_log.entries == log.entries
-        assert len(gen_log.entries) == config.num_steps * initiators
-        assert all(type(part) is int for entry in gen_log.entries for part in entry)
+        assert_log_matches(gen_log, log, config)
 
     def test_overflowing_rho_raises(self):
         """rho = 1000 overflows the partner weights to inf and the
@@ -197,26 +202,38 @@ class TestSbcmStep:
                     with pytest.raises(ValueError, match="non-finite partner probabilities"):
                         generate_sbcm_dataset(config)
 
-    def test_log_rejects_self_interaction(self):
-        with pytest.raises(ValueError):
-            InteractionLog().add(0, 3, 3)
-
-    def test_step_increments(self):
-        cfg = SbcmGenConfig(num_users=4, initiators_per_step=1, rho=0.0)
-        assert step_sbcm(make_state([0.0, 0.1, 0.2, 0.3]), cfg).step == 1
+    def test_overflowing_opinions_raise(self):
+        """Opinions that overflow to inf under the additive rule raise, even
+        in the last step, whose result the trajectory does not hold."""
+        config = SbcmGenConfig(num_users=2, num_steps=1, initiators_per_step=1, mu=1.0, rho=0.0,
+                               update_rule="additive", init_range=(1e308, 1.7e308), seed=0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="non-finite opinions"):
+                generate_sbcm_dataset(config)
 
 
 class TestClassicSteppers:
+    """The synchronous DeGroot generator."""
+
     def test_degroot_zero_weights_identity(self):
-        state = make_state([0.2, -0.5, 0.8])
-        new = step_degroot(state, np.zeros((3, 3)))
-        np.testing.assert_array_equal(new.opinions, state.opinions)
+        ds, traj = generate_degroot_dataset(3, 4, np.zeros((3, 3)), seed=2)
+        np.testing.assert_array_equal(traj, np.repeat(traj[:, :1], 4, axis=1))
+        assert (len(ds), ds.num_classes) == (12, 5)
 
     def test_degroot_diagonal_ignored(self):
-        state = make_state([0.5, -0.5])
         w = np.array([[5.0, 0.1], [0.2, -3.0]])
-        new = step_degroot(state, w)
-        np.testing.assert_allclose(new.opinions, [0.5 + 0.1 * -0.5, -0.5 + 0.2 * 0.5])
+        _, traj = generate_degroot_dataset(2, 3, w, seed=0)
+        for t in range(2):
+            x = traj[:, t]
+            np.testing.assert_array_equal(traj[:, t + 1], [x[0] + 0.1 * x[1], x[1] + 0.2 * x[0]])
+        np.testing.assert_array_equal(traj, generate_degroot_dataset(2, 3, w - np.diag([5.0, -3.0]))[1])
+
+    def test_degroot_nonfinite_opinions_rejected(self):
+        """Weights that overflow the opinions raise instead of returning an
+        inf trajectory."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite opinions"):
+                generate_degroot_dataset(3, 10, np.full((3, 3), 1e200))
 
 
 class TestGenerator:
@@ -225,7 +242,7 @@ class TestGenerator:
         ds, log, traj = generate_sbcm_dataset(cfg)
         assert len(ds) == 20 * 10
         assert traj.shape == (20, 10)
-        assert len(log.entries) == 3 * 10
+        assert log.shape == (10, 3, 2)
 
     def test_single_step_labels_initial_state(self):
         cfg = SbcmGenConfig(num_users=2, num_steps=1, initiators_per_step=1, rho=0.0, seed=1)
@@ -242,7 +259,7 @@ class TestGenerator:
         for column in ("users", "times", "labels"):
             np.testing.assert_array_equal(getattr(a[0], column)(), getattr(b[0], column)())
         np.testing.assert_array_equal(a[2], b[2])
-        assert a[1].entries == b[1].entries
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_init_range_respected(self):
         cfg = SbcmGenConfig(num_users=50, num_steps=1, initiators_per_step=1,
@@ -340,12 +357,8 @@ class TestExports:
         assert lines[2] == "1,0.2,0.4"
 
     def test_interactions_csv(self, tmp_path):
-        log = InteractionLog([(0, 1, 2), (1, 3, 0)])
+        log = np.array([[[1, 2], [4, 0]], [[3, 0], [0, 3]]], dtype=np.int64)
         path = tmp_path / "log.csv"
         simulate.save_interactions_csv(log, path)
         lines = path.read_text().strip().splitlines()
-        assert lines == ["step,initiator,partner", "0,1,2", "1,3,0"]
-
-    def test_nonfinite_state_rejected(self):
-        with pytest.raises(ValueError):
-            SimState(np.array([0.1, np.inf]), 0, np.random.default_rng(0))
+        assert lines == ["step,initiator,partner", "0,1,2", "0,4,0", "1,3,0", "1,0,3"]
