@@ -14,13 +14,9 @@ Run from the repository root:
 
 import numpy as np
 
+from opinionlab.autodiff import Tensor
 from opinionlab.data import ProfileCorpus
-from opinionlab.encoder import (
-    AttentionParams,
-    CorpusEncoding,
-    EmbeddingTable,
-    top_attention_words,
-)
+from opinionlab.encoder import CorpusEncoding, EmbeddingTable, top_attention_words
 
 corpus = ProfileCorpus({
     0: "climate scientist posting about carbon policy and renewables",
@@ -31,9 +27,9 @@ corpus = ProfileCorpus({
 })
 
 table = EmbeddingTable.from_corpus(corpus, dim=16, seed=0)
-params = AttentionParams.init(dim=16, seed=1)
+context = Tensor(np.random.default_rng(1).standard_normal(16) * 0.1)  # the attention's context vector
 encoding = CorpusEncoding(corpus, num_users=5, table=table)
-pooled = encoding.encode_all(params).data
+pooled = encoding.encode_all(context).data
 
 print("pooled profile vectors (first 4 dims):")
 for u in range(5):
@@ -48,5 +44,5 @@ print("\ncosine similarity between users 0..3:")
 print(np.round(sims, 2))
 
 print("\ntop attention words across the corpus:")
-for word, weight in top_attention_words(corpus, range(5), table, params, k=8):
+for word, weight in top_attention_words(corpus, range(5), table, context, k=8):
     print(f"  {word:12s} {weight:.3f}")

@@ -22,7 +22,6 @@ from .model import (
     TrainingDiverged,
     build_model,
     load_model,
-    predict,
     save_model,
     train,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "TrainingDiverged",
     "build_model",
     "load_model",
-    "predict",
     "save_model",
     "train",
     "PRESETS",

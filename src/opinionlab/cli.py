@@ -74,7 +74,8 @@ def _train_config(doc: dict, seed_override=None) -> TrainConfig:
 
 def _sim_config(doc: dict, preset=None, seed=None):
     """(preset, SbcmGenConfig, num_classes) from the "sim" section; a preset
-    or seed given on the command line overrides the section's."""
+    or seed given on the command line overrides the section's.  A preset
+    sets rho and update_rule, so the section may not set them beside one."""
     sim = dict(doc.get("sim", {}))
     preset = preset or sim.get("preset")
     sim.pop("preset", None)
@@ -82,6 +83,9 @@ def _sim_config(doc: dict, preset=None, seed=None):
     if preset is not None:
         if preset not in sorted(simulate.PRESETS):  # a list: the section's preset may be unhashable
             raise CliError(f"unknown preset {preset!r}; choose from {sorted(simulate.PRESETS)}")
+        clash = sorted(set(sim) & set(simulate.PRESETS[preset]))
+        if clash:
+            raise CliError(f"preset {preset!r} sets {clash}; set them without a preset, or drop them")
         sim.update(simulate.PRESETS[preset])
     if seed is not None:
         sim["seed"] = seed

@@ -95,21 +95,6 @@ class EmbeddingTable:
         return self.vectors[[self.token_id(t) for t in tokens]]
 
 
-class AttentionParams:
-    """The trainable context vector scoring each word."""
-
-    def __init__(self, context: Tensor | np.ndarray):
-        self.context = context if isinstance(context, Tensor) else Tensor(context, requires_grad=True)
-
-    @classmethod
-    def init(cls, dim: int, seed: int = 0) -> "AttentionParams":
-        rng = np.random.default_rng(seed)
-        return cls(rng.standard_normal(dim) * 0.1)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.context]
-
-
 def attention_weights(word_vectors, mask, context: Tensor) -> Tensor:
     """Softmax attention weights over token positions.
 
@@ -132,9 +117,18 @@ def attention_pool(word_vectors, mask, context: Tensor) -> Tensor:
 
 
 class CorpusEncoding:
-    """Pre-embedded corpus: constant (U, N, b) stack reused every step."""
+    """Pre-embedded corpus: constant (U, N, b) stack reused every step.
+
+    A profile id that no user has raises ValueError.  When no user has
+    profile text, `empty` is set: the pooled vectors are exactly zero and
+    the context vector would get a zero gradient, so `encode_all` skips
+    the pooling.
+    """
 
     def __init__(self, corpus: ProfileCorpus, num_users: int, table: EmbeddingTable):
+        for u in corpus.descriptions:
+            if u not in range(num_users):
+                raise ValueError(f"profile id {u!r} is not a user id in [0, {num_users})")
         self.table = table
         vecs = np.zeros((num_users, MAX_PROFILE_LEN, table.dim))
         masks = np.zeros((num_users, MAX_PROFILE_LEN))
@@ -144,14 +138,18 @@ class CorpusEncoding:
             masks[u] = mask
         self.word_vectors = vecs
         self.masks = masks
+        self.empty = not masks.any()
 
-    def encode_all(self, params: AttentionParams):
-        """(U, b) user representations, differentiable in the context vector."""
-        return attention_pool(self.word_vectors, self.masks, params.context)
+    def encode_all(self, context: Tensor):
+        """(U, b) user representations: a Tensor differentiable in the context
+        vector, or, for an `empty` corpus, a constant zero ndarray."""
+        if self.empty:
+            return np.zeros((len(self.masks), self.table.dim))
+        return attention_pool(self.word_vectors, self.masks, context)
 
 
 def top_attention_words(corpus: ProfileCorpus, user_ids, table: EmbeddingTable,
-                        params: AttentionParams, k: int):
+                        context: Tensor, k: int):
     """Words ranked by mean attention weight across the profiles using them."""
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -159,7 +157,7 @@ def top_attention_words(corpus: ProfileCorpus, user_ids, table: EmbeddingTable,
         tokens, mask = tokenize_and_pad(corpus.get(u))
         if mask.sum() == 0:
             continue
-        weights = attention_weights(table.embed(tokens), mask, params.context).data
+        weights = attention_weights(table.embed(tokens), mask, context).data
         for token, m, w in zip(tokens, mask, weights):
             if m > 0:
                 totals[token] = totals.get(token, 0.0) + float(w)

@@ -179,14 +179,8 @@ def gradient_check(variant: str = "sbcm", seed: int = 0):
         p.grad = None
     loss.backward()
 
-    groups = {
-        "fnn": trained.fnn.parameters(),
-        "head": [trained.head_w, trained.head_b],
-        "attention": trained.attention.parameters(),
-        "ode": trained.ode.parameters(),
-    }
     errors = {}
-    for name, params in groups.items():
+    for name, params in trained.groups().items():
         worst = 0.0
         for p in params:
             grad = np.zeros_like(p.data) if p.grad is None else p.grad

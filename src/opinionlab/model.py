@@ -28,7 +28,7 @@ from . import autodiff as ad
 from . import network
 from .autodiff import Adam, Tensor
 from .data import OpinionDataset, ProfileCorpus, label_to_continuous
-from .encoder import AttentionParams, CorpusEncoding, EmbeddingTable
+from .encoder import CorpusEncoding, EmbeddingTable
 from .metrics import compute_metrics
 from .simulate import DISTANCE_EPS
 
@@ -151,63 +151,27 @@ def sbcm_rhs_all(x, z_tilde):
 # ----- parameters --------------------------------------------------------------
 
 
-class OdeParams:
-    """Trainable parameters of the selected dynamics variant.
+def init_ode_leaves(variant: str, num_users: int, latent_dim: int,
+                    rng: np.random.Generator) -> dict[str, Tensor]:
+    """The trainable leaves of `variant`'s dynamics, by name in ODE_LEAVES order.
 
-    Range constraints are enforced by reparameterization: susceptibility
-    through a sigmoid, the confidence bound and sigmoid slope through a
-    softplus.  The raw leaves are what the optimizer sees.
+    Range constraints are enforced by reparameterization: `ode_rhs_all` puts
+    the susceptibility through a sigmoid, the confidence bound and sigmoid
+    slope through a softplus.  The raw leaves are what the optimizer sees.
+    Only `degroot` draws from `rng`.
     """
-
-    def __init__(self, variant: str, num_users: int, config: TrainConfig, rng: np.random.Generator,
-                 innate: np.ndarray | None = None):
-        self.variant = variant
-        if variant == "degroot":
-            scale = 0.1 / np.sqrt(config.latent_dim)
-            self.m_factors = Tensor(rng.standard_normal((num_users, config.latent_dim)) * scale,
-                                    requires_grad=True)
-            self.q_factors = Tensor(rng.standard_normal((num_users, config.latent_dim)) * scale,
-                                    requires_grad=True)
-        elif variant == "fj":
-            self.raw_s = Tensor(np.zeros(num_users), requires_grad=True)
-            self.innate = np.zeros(num_users) if innate is None else np.asarray(innate, dtype=float)
-        elif variant == "bcm":
-            self.raw_delta = Tensor(np.array(INIT_RAW_DELTA), requires_grad=True)
-            self.raw_gamma = Tensor(np.array(INIT_RAW_GAMMA), requires_grad=True)
-        elif variant == "sbcm":
-            self.rho = Tensor(np.array(0.0), requires_grad=True)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-
-    def parameters(self) -> list[Tensor]:
-        return [getattr(self, name) for name in ODE_LEAVES[self.variant]]
-
-    def susceptibility(self):
-        return _sigmoid(self.raw_s)
-
-    def delta(self):
-        return _softplus(self.raw_delta)
-
-    def gamma(self):
-        return _softplus(self.raw_gamma)
-
-    def to_dict(self) -> dict:
-        doc = {"variant": self.variant}
-        for name in ODE_LEAVES[self.variant]:
-            doc[name] = getattr(self, name).data.tolist()
-        if self.variant == "fj":
-            doc["innate"] = self.innate.tolist()
-        return doc
-
-    def load_dict(self, doc: dict):
-        """Set every leaf from a checkpoint's `ode` section; a missing or
-        misshapen one raises ValueError naming the field."""
-        for name in ODE_LEAVES[self.variant]:
-            param = getattr(self, name)
-            param.data = _checkpoint_array(_checkpoint_field(doc, name, "ode"), f"ode.{name}", param.shape)
-        if self.variant == "fj":
-            self.innate = _checkpoint_array(_checkpoint_field(doc, "innate", "ode"), "ode.innate",
-                                            self.innate.shape)
+    if variant == "degroot":
+        scale = 0.1 / np.sqrt(latent_dim)
+        values = [rng.standard_normal((num_users, latent_dim)) * scale for _ in range(2)]
+    elif variant == "fj":
+        values = [np.zeros(num_users)]
+    elif variant == "bcm":
+        values = [np.array(INIT_RAW_DELTA), np.array(INIT_RAW_GAMMA)]
+    elif variant == "sbcm":
+        values = [np.array(0.0)]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return {name: Tensor(value, requires_grad=True) for name, value in zip(ODE_LEAVES[variant], values)}
 
 
 def _softplus(x: Tensor) -> Tensor:
@@ -223,41 +187,36 @@ def _sigmoid(x: Tensor) -> Tensor:
 
 
 class SinnModel:
-    """Network, output head, profile encoder, and dynamics parameters."""
+    """Network, output head, profile encoder, and dynamics parameters.
 
-    def __init__(self, fnn: network.FnnParams, head_w: Tensor, head_b: Tensor,
-                 attention: AttentionParams, encoding: CorpusEncoding,
-                 ode: OdeParams, num_users: int, num_classes: int,
-                 horizon: float, config: TrainConfig):
+    `context` is the encoder's context vector, `ode` maps each name in
+    ODE_LEAVES[variant] to its leaf, and `innate` holds `fj`'s anchors
+    (None for the other variants).
+    """
+
+    def __init__(self, fnn: network.FnnParams, head_w: Tensor, head_b: Tensor, context: Tensor,
+                 encoding: CorpusEncoding, ode: dict, innate: np.ndarray | None,
+                 num_users: int, num_classes: int, horizon: float, config: TrainConfig):
         self.fnn = fnn
         self.head_w = head_w
         self.head_b = head_b
-        self.attention = attention
+        self.context = context
         self.encoding = encoding
         self.ode = ode
+        self.innate = innate
         self.num_users = num_users
         self.num_classes = num_classes
         self.horizon = horizon
         self.config = config
         self.time_scale = 1.0 / horizon if horizon > 0 else 1.0
-        # With no profile text at all the pooled vectors are exactly zero.
-        self._no_profiles = not encoding.masks.any()
+
+    def groups(self) -> dict[str, list[Tensor]]:
+        """The trainable leaves by group, in optimizer order."""
+        return {"fnn": self.fnn.parameters(), "head": [self.head_w, self.head_b],
+                "attention": [self.context], "ode": list(self.ode.values())}
 
     def parameters(self) -> list[Tensor]:
-        return (self.fnn.parameters() + [self.head_w, self.head_b] + self.attention.parameters()
-                + self.ode.parameters())
-
-    def encode_users(self):
-        """(U, embed_dim) profile representations; Tensor during training.
-
-        When no user has profile text the encoder's output is exactly zero
-        and its context vector gets a zero gradient, so the encoder is
-        skipped: the result is a constant zero array and Adam leaves the
-        context vector untouched.
-        """
-        if self._no_profiles:
-            return np.zeros((self.num_users, self.encoding.table.dim))
-        return self.encoding.encode_all(self.attention)
+        return [p for group in self.groups().values() for p in group]
 
     def latent_opinions(self, times, profile_matrix):
         """x_hat and dx_hat/dt, each (J, U), for every user at each of J times.
@@ -274,20 +233,19 @@ class SinnModel:
     def logits(self, x_hat):
         return x_hat.reshape(-1, 1) * self.head_w + self.head_b
 
-    def predict_proba(self, user_ids, times, encoding: CorpusEncoding | None = None) -> np.ndarray:
+    def predict_proba(self, user_ids, times) -> np.ndarray:
         """(n, C) class probabilities as an ndarray.
 
         `user_ids` must be integers in [0, num_users), one per time; anything
-        else raises ValueError.  `encoding` overrides the profile encoding the
-        model was built with.
+        else raises ValueError.  The profiles are the ones the model was
+        built or loaded with.
         """
         user_ids = np.atleast_1d(_check_ids(user_ids, "user id", self.num_users))
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if user_ids.ndim != 1 or user_ids.shape != times.shape:
             raise ValueError(f"user ids {user_ids.shape} and times {times.shape} must be "
                              "1-d and of equal length")
-        encoding = self.encoding if encoding is None else encoding
-        h_all = encoding.encode_all(self.attention).data
+        h_all = ad.as_tensor(self.encoding.encode_all(self.context)).data
         x_hat = network.forward(self.fnn, times, user_ids, h_all[user_ids], self.time_scale)
         return ad.softmax(self.logits(x_hat), axis=-1).data
 
@@ -299,26 +257,14 @@ class SinnModel:
             p.data = data.copy()
 
 
-def predict(model: SinnModel, user_id: int, t_star: float,
-            profiles: ProfileCorpus | None = None) -> np.ndarray:
-    """Class probability vector for one user at one time.
-
-    A `profiles` corpus overrides the one the model was built with (the
-    frozen embedding table is reused).
-    """
-    encoding = None
-    if profiles is not None:
-        encoding = CorpusEncoding(profiles, model.num_users, model.encoding.table)
-    return model.predict_proba([user_id], [t_star], encoding)[0]
-
-
 def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: TrainConfig) -> SinnModel:
     rng = np.random.default_rng(config.seed)
     num_users, num_classes = train_ds.num_users, train_ds.num_classes
 
     table = EmbeddingTable.from_corpus(profiles, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table)
-    attention = AttentionParams.init(config.embed_dim, seed=config.seed + 1)
+    context = Tensor(np.random.default_rng(config.seed + 1).standard_normal(config.embed_dim) * 0.1,
+                     requires_grad=True)
 
     input_dim = 1 + num_users + config.embed_dim
     fnn = network.init_params(config.num_layers, config.width, input_dim, seed=config.seed + 2)
@@ -330,8 +276,8 @@ def build_model(train_ds: OpinionDataset, profiles: ProfileCorpus, config: Train
         innate = np.zeros(num_users)  # each user's first training post anchors them
         anchored, first = np.unique(train_ds.users(), return_index=True)
         innate[anchored] = label_to_continuous(train_ds.labels()[first], num_classes)
-    ode = OdeParams(config.variant, num_users, config, rng, innate=innate)
-    return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
+    ode = init_ode_leaves(config.variant, num_users, config.latent_dim, rng)
+    return SinnModel(fnn, head_w, head_b, context, encoding, ode, innate,
                      num_users, num_classes, train_ds.horizon, config)
 
 
@@ -365,14 +311,14 @@ def data_loss(model: SinnModel, users, times, labels, profile_matrix):
 
 def ode_rhs_all(model: SinnModel, x_hat, noise=None):
     """Vectorized right-hand side of the configured dynamics at `x_hat`."""
-    ode = model.ode
-    if ode.variant == "degroot":
-        return degroot_rhs_all(x_hat, ode.m_factors, ode.q_factors)
-    if ode.variant == "fj":
-        return fj_rhs_all(x_hat, ode.innate, ode.susceptibility())
-    if ode.variant == "bcm":
-        return bcm_rhs_all(x_hat, ode.delta(), ode.gamma())
-    probs = sbcm_partner_matrix(x_hat, ode.rho)
+    ode, variant = model.ode, model.config.variant
+    if variant == "degroot":
+        return degroot_rhs_all(x_hat, ode["m_factors"], ode["q_factors"])
+    if variant == "fj":
+        return fj_rhs_all(x_hat, model.innate, _sigmoid(ode["raw_s"]))
+    if variant == "bcm":
+        return bcm_rhs_all(x_hat, _softplus(ode["raw_delta"]), _softplus(ode["raw_gamma"]))
+    probs = sbcm_partner_matrix(x_hat, ode["rho"])
     if noise is None:
         raise ValueError("the stochastic variant needs Gumbel noise")
     z_tilde = gumbel_softmax(probs, GUMBEL_TAU, noise)
@@ -393,9 +339,9 @@ def ode_loss(model: SinnModel, collocation_times, profile_matrix, noise_per_poin
 
 def l1_regularizer(model: SinnModel):
     """l1 norm of the factorized influence matrices; zero for other variants."""
-    if model.ode.variant != "degroot":
+    if model.config.variant != "degroot":
         return Tensor(0.0)
-    return model.ode.m_factors.abs().sum() + model.ode.q_factors.abs().sum()
+    return model.ode["m_factors"].abs().sum() + model.ode["q_factors"].abs().sum()
 
 
 def total_loss(model: SinnModel, users, times, labels, collocation_times,
@@ -403,7 +349,7 @@ def total_loss(model: SinnModel, users, times, labels, collocation_times,
     """data + alpha * ode + beta * regularizer; returns (Tensor, components)."""
     cfg = model.config
     if profile_matrix is None:
-        profile_matrix = model.encode_users()
+        profile_matrix = model.encoding.encode_all(model.context)
     loss = data_loss(model, users, times, labels, profile_matrix)
     parts = {"data": loss.item(), "ode": 0.0, "reg": 0.0}
     if cfg.alpha > 0:
@@ -533,11 +479,14 @@ def save_model(model: SinnModel, path):
         "num_users": model.num_users,
         "num_classes": model.num_classes,
         "horizon": model.horizon,
-        "fnn": network.params_to_dict(model.fnn),
+        "fnn": {"weights": [w.data.tolist() for w in model.fnn.weights],
+                "biases": [b.data.tolist() for b in model.fnn.biases]},
         "head_w": model.head_w.data.tolist(),
         "head_b": model.head_b.data.tolist(),
-        "context": model.attention.context.data.tolist(),
-        "ode": model.ode.to_dict(),
+        "context": model.context.data.tolist(),
+        "ode": {"variant": model.config.variant,
+                **{name: leaf.data.tolist() for name, leaf in model.ode.items()},
+                **({} if model.innate is None else {"innate": model.innate.tolist()})},
         "vocabulary": sorted(model.encoding.table.vocabulary),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -615,8 +564,8 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     if not (isinstance(words, list) and all(isinstance(w, str) for w in words)
             and words == sorted(set(words))):
         raise ValueError("checkpoint field 'vocabulary' must be a sorted list of distinct words")
-    context = _checkpoint_field(doc, "context")
-    attention = AttentionParams(_checkpoint_array(context, "context", (config.embed_dim,)))
+    context = Tensor(_checkpoint_array(_checkpoint_field(doc, "context"), "context", (config.embed_dim,)),
+                     requires_grad=True)
     arrays = {}
     for key in ("weights", "biases"):
         values = _checkpoint_field(_checkpoint_field(doc, "fnn"), key, "fnn")
@@ -631,15 +580,16 @@ def load_model(path, profiles: ProfileCorpus) -> SinnModel:
     table = EmbeddingTable.random(words, dim=config.embed_dim, seed=config.seed)
     encoding = CorpusEncoding(profiles, num_users, table)
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = encoding.encode_all(attention).data
+        pooled = ad.as_tensor(encoding.encode_all(context)).data
     if not np.all(np.isfinite(pooled)):
         raise ValueError("checkpoint field 'context' gives non-finite profile encodings")
     ode_doc = _checkpoint_field(doc, "ode")
-    if config.variant == "degroot":  # OdeParams sizes the factors from latent_dim
-        for name in ODE_LEAVES["degroot"]:
-            _checkpoint_array(_checkpoint_field(ode_doc, name, "ode"), f"ode.{name}",
-                              (num_users, config.latent_dim))
-    ode = OdeParams(config.variant, num_users, config, np.random.default_rng(config.seed))
-    ode.load_dict(ode_doc)
-    return SinnModel(fnn, head_w, head_b, attention, encoding, ode,
+    shape = {"degroot": (num_users, config.latent_dim), "fj": (num_users,)}.get(config.variant, ())
+    ode = {name: Tensor(_checkpoint_array(_checkpoint_field(ode_doc, name, "ode"), f"ode.{name}", shape),
+                        requires_grad=True)
+           for name in ODE_LEAVES[config.variant]}
+    innate = None
+    if config.variant == "fj":
+        innate = _checkpoint_array(_checkpoint_field(ode_doc, "innate", "ode"), "ode.innate", (num_users,))
+    return SinnModel(fnn, head_w, head_b, context, encoding, ode, innate,
                      num_users, num_classes, horizon, config)

@@ -161,12 +161,3 @@ def forward_with_time_derivative(params: FnnParams, t, users, profiles, time_sca
     both = _mlp(params, t, users, profiles, time_scale, tangent=True)
     return both[0], both[1]
 
-
-# ----- checkpoint IO ---------------------------------------------------------
-
-
-def params_to_dict(params: FnnParams) -> dict:
-    return {
-        "weights": [w.data.tolist() for w in params.weights],
-        "biases": [b.data.tolist() for b in params.biases],
-    }

@@ -105,6 +105,7 @@ def step_sbcm(opinions: np.ndarray, rng: np.random.Generator, config: SbcmGenCon
     for i, (u, r) in enumerate(zip(pairs[:, 0].tolist(), uniforms.tolist())):
         cdf = np.add.accumulate(sbcm_partner_probs(opinions, u, config.rho))
         if not math.isfinite(cdf[-1]):
+            _check_finite(opinions)  # an overflowed opinion is named before rho
             raise ValueError(f"non-finite partner probabilities (rho={config.rho})")
         cdf /= cdf[-1]
         v = int(cdf.searchsorted(r, side="right"))

@@ -84,10 +84,8 @@ def test_criterion_1_gradient_correctness():
             p.grad = None
         loss.backward()
 
-        groups = {"fnn": model.fnn.parameters(), "head": [model.head_w, model.head_b],
-                  "attention": model.attention.parameters(), "ode": model.ode.parameters()}
         eps = 1e-6
-        for group, params in groups.items():
+        for group, params in model.groups().items():
             leaf = params[int(rng.integers(0, len(params)))]
             grad = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
             flat = leaf.data.reshape(-1)

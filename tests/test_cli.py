@@ -203,6 +203,24 @@ class TestSimulateCommand:
                      "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out.strip())["preset"] == "consensus"
 
+    @pytest.mark.parametrize("preset, sim, keys", [
+        pytest.param(None, {"preset": "consensus", "rho": 0.7, "update_rule": "additive"},
+                     "['rho', 'update_rule']", id="section_preset"),
+        pytest.param("consensus", {"rho": 0.7}, "['rho']", id="command_line_preset"),
+        pytest.param("polarization", {"preset": "clustering", "update_rule": "additive"},
+                     "['update_rule']", id="same_rule"),
+    ])
+    def test_preset_refuses_explicit_rho_or_rule(self, tmp_path, capsys, preset, sim, keys):
+        """A preset sets rho and the update rule, so setting either beside
+        it is an error naming the keys, not a silent override."""
+        out = tmp_path / "sim"
+        cfg = _sim_config(tmp_path, num_users=10, num_steps=5, **sim)
+        argv = ["simulate", "--out", str(out), "--config", str(cfg)] + (["--preset", preset] if preset else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: preset") and keys in err
+        assert not out.exists()
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg = _sim_config(tmp_path, num_users=20, num_steps=10)
         a, b = tmp_path / "a", tmp_path / "b"
@@ -271,6 +289,15 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: bad data configuration") and key in err
         assert not (tmp_path / "bl").exists()
+
+    def test_profile_ids_outside_users_are_error(self, workspace, capsys):
+        """A profile file keyed 1..U for users 0..U-1 is refused rather than
+        training a model that never reads the profile of id U."""
+        tmp_path, cfg_path = workspace
+        save_profiles(ProfileCorpus({u + 1: f"user number {u}" for u in range(4)}), tmp_path / "profiles.json")
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("error: profile id 4 is not a user id in [0, 4)")
+        assert not (tmp_path / "run").exists()
 
     def test_missing_dataset_is_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,7 @@
 """Profile tokenization, embedding lookup, and attention pooling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from opinionlab.data import ProfileCorpus
 from opinionlab.encoder import (
     MAX_PROFILE_LEN,
     PAD,
-    AttentionParams,
     CorpusEncoding,
     EmbeddingTable,
     attention_pool,
@@ -149,12 +150,12 @@ class TestUserEncoding:
     def setup_method(self):
         self.corpus = ProfileCorpus({0: "climate science now", 1: "", 2: "football"})
         self.table = EmbeddingTable.from_corpus(self.corpus, dim=5, seed=0)
-        self.params = AttentionParams.init(5, seed=1)
+        self.context = Tensor(np.random.default_rng(1).standard_normal(5) * 0.1)
 
     def encode_one(self, user_id):
         """One user's representation, composed step by step."""
         tokens, mask = tokenize_and_pad(self.corpus.get(user_id))
-        return attention_pool(self.table.embed(tokens), mask, self.params.context)
+        return attention_pool(self.table.embed(tokens), mask, self.context)
 
     def test_empty_profile_is_zero_vector(self):
         vec = self.encode_one(1)
@@ -162,13 +163,19 @@ class TestUserEncoding:
 
     def test_corpus_encoding_matches_per_user(self):
         enc = CorpusEncoding(self.corpus, 3, self.table)
-        all_vecs = enc.encode_all(self.params)
+        all_vecs = enc.encode_all(self.context)
         for u in range(3):
             single = self.encode_one(u)
             np.testing.assert_allclose(all_vecs.data[u], single.data, atol=1e-12)
 
+    def test_profile_id_without_user_refused(self):
+        """An id outside [0, U) would never be read, so the corpus is refused
+        (a 1-based profile file would otherwise train without profiles)."""
+        with pytest.raises(ValueError, match=re.escape("profile id 3 is not a user id in [0, 3)")):
+            CorpusEncoding(ProfileCorpus({0: "a", 3: "b", -1: "c"}), 3, self.table)
+
     def test_top_attention_words_ranked(self):
-        words = top_attention_words(self.corpus, [0, 2], self.table, self.params, k=4)
+        words = top_attention_words(self.corpus, [0, 2], self.table, self.context, k=4)
         assert len(words) == 4
         scores = [s for _, s in words]
         assert scores == sorted(scores, reverse=True)

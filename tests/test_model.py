@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opinionlab import model as model_mod, network
+from opinionlab import encoder, model as model_mod, network
 from opinionlab.autodiff import Adam, Tensor
 from opinionlab.data import OpinionDataset, ProfileCorpus, chronological_split, SplitSpec
-from opinionlab.simulate import generate_sbcm_dataset, preset_config, sbcm_partner_probs
+from opinionlab.simulate import (generate_degroot_dataset, generate_sbcm_dataset, preset_config,
+                                 sbcm_partner_probs)
 from opinionlab.model import (
     VARIANTS,
-    OdeParams,
     TrainConfig,
     TrainingDiverged,
     bcm_rhs_all,
@@ -33,10 +33,10 @@ from opinionlab.model import (
     fj_rhs_all,
     gumbel_noise,
     gumbel_softmax,
+    init_ode_leaves,
     load_model,
     ode_loss,
     ode_rhs_all,
-    predict,
     save_model,
     sbcm_partner_matrix,
     sbcm_rhs_all,
@@ -304,10 +304,13 @@ def consensus_steps():
     return np.concatenate(xs), np.concatenate(dxs)
 
 
+LANDSCAPE_SCALES = (0.5, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25, 2.0)
+
+
 class TestResidualLandscape:
-    """The sbcm ODE residual on the generator's own trajectory, with the
-    partner probabilities p in place of the Gumbel draw, must be smallest at
-    the generating rho = -1.  Nothing is trained."""
+    """The ODE residual on a generator's own trajectory, with one-step
+    differences as dx/dt, must be smallest at the generating parameters.
+    Nothing is trained."""
 
     @pytest.mark.parametrize("rate", [
         pytest.param(0.01, id="rate-mu-k-over-U"),
@@ -322,6 +325,21 @@ class TestResidualLandscape:
             r = dx - rate * sbcm_rhs_all(x, sbcm_partner_matrix(Tensor(x), rho).data)
             residuals.append(float((r * r).sum()))
         assert LANDSCAPE_RHOS[int(np.argmin(residuals))] == -1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degroot_residual_smallest_at_generating_factors(self, seed):
+        """DeGroot rollout from a = M Q^T (U=20, K=2, 30 steps): over scales
+        c of M the residual is smallest at c = 1, where only rounding is
+        left, and the swapped factors (a^T) do worse than predicting no
+        change at all, so the model's orientation of a is the generator's."""
+        rng = np.random.default_rng(seed)
+        m, q = (rng.standard_normal((20, 2)) * 0.1 for _ in range(2))
+        trajectory = generate_degroot_dataset(20, 31, m @ q.T, seed=seed)[1]
+        x, dx = trajectory[:, :-1].T, np.diff(trajectory).T
+        residuals = [float(((dx - degroot_rhs_all(x, c * m, q)) ** 2).sum()) for c in LANDSCAPE_SCALES]
+        assert LANDSCAPE_SCALES[int(np.argmin(residuals))] == 1.0
+        assert residuals[LANDSCAPE_SCALES.index(1.0)] < 1e-20
+        assert ((dx - degroot_rhs_all(x, q, m)) ** 2).sum() > (dx * dx).sum()
 
 
 class TestSigmoid:
@@ -355,27 +373,28 @@ class TestSoftplus:
 
 class TestOdeParams:
     def test_reparameterized_initial_values(self):
-        cfg = TrainConfig(variant="bcm")
-        params = OdeParams("bcm", 4, cfg, np.random.default_rng(0))
-        assert params.delta().item() == pytest.approx(0.5)
-        assert params.gamma().item() == pytest.approx(10.0)
+        leaves = init_ode_leaves("bcm", 4, 2, np.random.default_rng(0))
+        assert list(leaves) == ["raw_delta", "raw_gamma"]
+        assert model_mod._softplus(leaves["raw_delta"]).item() == pytest.approx(0.5)
+        assert model_mod._softplus(leaves["raw_gamma"]).item() == pytest.approx(10.0)
 
     def test_susceptibility_in_unit_interval(self):
-        cfg = TrainConfig(variant="fj")
-        params = OdeParams("fj", 5, cfg, np.random.default_rng(0))
-        params.raw_s.data = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
-        s = params.susceptibility().data
+        leaves = init_ode_leaves("fj", 5, 2, np.random.default_rng(0))
+        leaves["raw_s"].data = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
+        s = model_mod._sigmoid(leaves["raw_s"]).data
         assert np.all((s >= 0) & (s <= 1))
         assert s[2] == pytest.approx(0.5)
 
-    def test_dict_round_trip(self):
-        cfg = TrainConfig(variant="degroot", latent_dim=2)
-        params = OdeParams("degroot", 3, cfg, np.random.default_rng(1))
-        doc = params.to_dict()
-        fresh = OdeParams("degroot", 3, cfg, np.random.default_rng(99))
-        fresh.load_dict(doc)
-        np.testing.assert_array_equal(fresh.m_factors.data, params.m_factors.data)
-        np.testing.assert_array_equal(fresh.q_factors.data, params.q_factors.data)
+    def test_dict_round_trip(self, tmp_path):
+        """A checkpoint gives back the saved factors, not ones drawn afresh."""
+        m = build_model(tiny_dataset(num_users=3), tiny_profiles(3),
+                        TrainConfig(variant="degroot", latent_dim=2, num_layers=1, width=3, embed_dim=4, seed=1))
+        save_model(m, tmp_path / "checkpoint.json")
+        loaded = load_model(tmp_path / "checkpoint.json", tiny_profiles(3))
+        assert list(loaded.ode) == ["m_factors", "q_factors"]
+        for name in ("m_factors", "q_factors"):
+            np.testing.assert_array_equal(loaded.ode[name].data, m.ode[name].data)
+            assert loaded.ode[name].requires_grad
 
 
 class TestLosses:
@@ -387,7 +406,7 @@ class TestLosses:
         cfg = TrainConfig(variant="sbcm", num_layers=1, width=3, embed_dim=4, seed=0)
         m = build_model(self.ds, self.profiles, cfg)
         users, times, labels = self.ds.users(), self.ds.times(), self.ds.labels()
-        loss = data_loss(m, users, times, labels, m.encode_users())
+        loss = data_loss(m, users, times, labels, m.encoding.encode_all(m.context))
         probs = m.predict_proba(users, times)
         expected = -np.mean(np.log(probs[np.arange(len(labels)), labels]))
         assert loss.item() == pytest.approx(expected, rel=1e-10)
@@ -399,7 +418,7 @@ class TestLosses:
                           width=3, embed_dim=4, seed=0)
         m = build_model(self.ds, self.profiles, cfg)
         users, times, labels = self.ds.users(), self.ds.times(), self.ds.labels()
-        prof = m.encode_users()
+        prof = m.encoding.encode_all(m.context)
         composite, parts = total_loss(m, users, times, labels, np.array([1.0]))
         plain = data_loss(m, users, times, labels, prof)
         assert composite.item() == plain.item()
@@ -421,7 +440,7 @@ class TestLosses:
         m = build_model(self.ds, self.profiles, cfg)
         users, times, labels = self.ds.users(), self.ds.times(), self.ds.labels()
         _, parts = total_loss(m, users, times, labels, np.array([1.0]))
-        expected = np.abs(m.ode.m_factors.data).sum() + np.abs(m.ode.q_factors.data).sum()
+        expected = np.abs(m.ode["m_factors"].data).sum() + np.abs(m.ode["q_factors"].data).sum()
         assert parts["reg"] == pytest.approx(expected)
 
     def test_sbcm_requires_noise(self):
@@ -442,7 +461,8 @@ class TestLosses:
         m = build_model(ds, tiny_profiles(2), TrainConfig(variant="fj", num_layers=1, width=3,
                                                           embed_dim=4, seed=0))
         with pytest.raises(ValueError, match="out of range"):
-            data_loss(m, np.array([0, user]), np.array([1.0, 2.0]), np.array([1, label]), m.encode_users())
+            data_loss(m, np.array([0, user]), np.array([1.0, 2.0]), np.array([1, label]),
+                      m.encoding.encode_all(m.context))
 
     def test_divergence_detected(self):
         cfg = TrainConfig(variant="fj", alpha=1.0, num_layers=1, width=3,
@@ -485,7 +505,7 @@ class TestBatchedOdeLoss:
         for loss_fn in (ode_loss, per_point_ode_loss):
             for p in m.parameters():
                 p.grad = None
-            loss = loss_fn(m, times, m.encode_users(), noise)
+            loss = loss_fn(m, times, m.encoding.encode_all(m.context), noise)
             loss.backward()
             results.append((loss.item(), [p.grad for p in m.parameters()]))
         (batched, g_batched), (looped, g_looped) = results
@@ -532,7 +552,8 @@ class TestEmptyCorpusSkip:
     def test_zero_profiles_without_encoder(self):
         ds = tiny_dataset()
         m = build_model(ds, ProfileCorpus({}), TrainConfig(num_layers=1, width=3, embed_dim=4))
-        h = m.encode_users()
+        assert m.encoding.empty
+        h = m.encoding.encode_all(m.context)
         assert isinstance(h, np.ndarray)
         np.testing.assert_array_equal(h, np.zeros((4, 4)))
 
@@ -543,14 +564,13 @@ class TestEmptyCorpusSkip:
                           batch_size=8, seed=3)
         skipped, h_skipped = train(splits, ProfileCorpus({}), cfg)
         fresh = build_model(splits[0], ProfileCorpus({}), cfg)
-        monkeypatch.setattr(model_mod.SinnModel, "encode_users",
-                            lambda self: self.encoding.encode_all(self.attention))
+        monkeypatch.setattr(encoder.CorpusEncoding, "encode_all",
+                            lambda self, context: encoder.attention_pool(self.word_vectors, self.masks, context))
         encoded, h_encoded = train(splits, ProfileCorpus({}), cfg)
         assert h_skipped == h_encoded
         for a, b in zip(skipped.parameters(), encoded.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(skipped.attention.context.data,
-                                      fresh.attention.context.data)
+        np.testing.assert_array_equal(skipped.context.data, fresh.context.data)
 
 
 class TestTraining:
@@ -616,7 +636,7 @@ class TestPredictAndCheckpoint:
         ds = tiny_dataset()
         cfg = TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0)
         m = build_model(ds, tiny_profiles(), cfg)
-        probs = predict(m, 2, 3.5)
+        probs = m.predict_proba([2], [3.5])[0]
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0)
 
@@ -625,15 +645,17 @@ class TestPredictAndCheckpoint:
         m = build_model(ds, tiny_profiles(), TrainConfig(num_layers=1, width=3,
                                                          embed_dim=4, seed=0))
         with pytest.raises(ValueError):
-            predict(m, 99, 1.0)
+            m.predict_proba([99], [1.0])
 
-    def test_predict_unknown_user_with_profiles(self):
+    def test_predict_unknown_user_with_profiles(self, tmp_path):
         ds = tiny_dataset()
         m = build_model(ds, tiny_profiles(), TrainConfig(num_layers=1, width=3,
                                                          embed_dim=4, seed=0))
+        save_model(m, tmp_path / "checkpoint.json")
+        loaded = load_model(tmp_path / "checkpoint.json", tiny_profiles())
         for user in (99, -1):
             with pytest.raises(ValueError):
-                predict(m, user, 1.0, profiles=tiny_profiles())
+                loaded.predict_proba([user], [1.0])
 
     @pytest.mark.parametrize("users", [[1.5], [True], [1.0], ["1"], [-1], [4]],
                              ids=["float", "bool", "integral-float", "str", "negative", "U"])
@@ -647,7 +669,7 @@ class TestPredictAndCheckpoint:
     def test_predict_refuses_float_id(self):
         m = tiny_model()
         with pytest.raises(ValueError, match="user id out of range"):
-            predict(m, 2.7, 1.0)
+            m.predict_proba([2.7], [1.0])
 
     @pytest.mark.parametrize("users, times", [([0, 1], [1.0]), ([0], [1.0, 2.0]), ([[0, 1]], [[1.0, 2.0]])],
                              ids=["more-ids", "more-times", "2-d"])
@@ -664,20 +686,22 @@ class TestPredictAndCheckpoint:
                 m.predict_proba(np.array([0, 3, 1], dtype=dtype), [1.0, 2.0, 0.5]), want)
         np.testing.assert_array_equal(m.predict_proba(3, 2.0), want[1:2])
 
-    def test_profile_override_matches_predict_proba(self):
+    def test_profile_override_matches_predict_proba(self, tmp_path):
+        """Reloading with the profiles the model was built with predicts bit for bit alike."""
         ds = tiny_dataset()
         profiles = tiny_profiles()
         m = build_model(ds, profiles, TrainConfig(num_layers=1, width=3, embed_dim=4, seed=0))
-        np.testing.assert_array_equal(predict(m, 1, 2.0, profiles=profiles),
-                                      m.predict_proba([1], [2.0])[0])
+        save_model(m, tmp_path / "checkpoint.json")
+        loaded = load_model(tmp_path / "checkpoint.json", profiles)
+        np.testing.assert_array_equal(loaded.predict_proba([1], [2.0]), m.predict_proba([1], [2.0]))
 
-    def test_profile_override_changes_output(self):
+    def test_profile_override_changes_output(self, tmp_path):
         ds = tiny_dataset()
         m = build_model(ds, tiny_profiles(), TrainConfig(num_layers=1, width=3,
                                                          embed_dim=4, seed=0))
-        base = predict(m, 0, 2.0)
-        swapped = predict(m, 0, 2.0, profiles=ProfileCorpus({0: "completely different words"}))
-        assert not np.allclose(base, swapped)
+        save_model(m, tmp_path / "checkpoint.json")
+        swapped = load_model(tmp_path / "checkpoint.json", ProfileCorpus({0: "completely different words"}))
+        assert not np.allclose(m.predict_proba([0], [2.0]), swapped.predict_proba([0], [2.0]))
 
     def test_save_load_round_trip(self, tmp_path):
         ds = tiny_dataset()
@@ -704,7 +728,7 @@ class TestPredictAndCheckpoint:
         doc = json.loads((tmp_path / "model.json").read_text())
         loaded = load_model(tmp_path / "model.json", profiles)
         users, times = ds.users(), ds.times()
-        pooled = loaded.encoding.encode_all(loaded.attention).data
+        pooled = loaded.encoding.encode_all(loaded.context).data
         a = np.concatenate([times[:, None] / doc["horizon"], np.eye(doc["num_users"])[users], pooled[users]],
                            axis=1)
         for w, b in zip(doc["fnn"]["weights"], doc["fnn"]["biases"]):
@@ -842,7 +866,7 @@ class TestPredictAndCheckpoint:
         ds = OpinionDataset([0, 1, 0, 1], [0.0, 0.0, 1.0, 1.0], [0, 4, 2, 2], 2, 5, 2.0)
         m = build_model(ds, ProfileCorpus({}), TrainConfig(variant="fj", num_layers=1,
                                                            width=3, embed_dim=4, seed=0))
-        np.testing.assert_allclose(m.ode.innate, [-0.8, 0.8])
+        np.testing.assert_allclose(m.innate, [-0.8, 0.8])
 
 
 FUZZ_SCALARS = (st.none() | st.booleans() | st.integers(-3, 10 ** 12) | st.sampled_from([2 ** 63, 10 ** 400])

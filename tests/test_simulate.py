@@ -204,12 +204,15 @@ class TestSbcmStep:
 
     def test_overflowing_opinions_raise(self):
         """Opinions that overflow to inf under the additive rule raise, even
-        in the last step, whose result the trajectory does not hold."""
-        config = SbcmGenConfig(num_users=2, num_steps=1, initiators_per_step=1, mu=1.0, rho=0.0,
-                               update_rule="additive", init_range=(1e308, 1.7e308), seed=0)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="non-finite opinions"):
-                generate_sbcm_dataset(config)
+        in the last step, whose result the trajectory does not hold.  With
+        k >= 2 the next initiator's partner weights are NaN: the step still
+        names the opinions, not rho."""
+        for num_users, initiators in ((2, 1), (4, 2), (4, 3)):
+            config = SbcmGenConfig(num_users=num_users, num_steps=1, initiators_per_step=initiators, mu=1.0,
+                                   rho=0.0, update_rule="additive", init_range=(1e308, 1.7e308), seed=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="non-finite opinions"):
+                    generate_sbcm_dataset(config)
 
 
 class TestClassicSteppers:
