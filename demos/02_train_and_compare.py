@@ -9,12 +9,9 @@ Run from the repository root (takes a couple of minutes):
     python3 demos/02_train_and_compare.py
 """
 
-import numpy as np
-
 from opinionlab import simulate
 from opinionlab.data import ProfileCorpus, SplitSpec, chronological_split
-from opinionlab.harness import BASELINES, run_baselines
-from opinionlab.metrics import compute_metrics
+from opinionlab.harness import BASELINES, evaluate_model, run_baselines
 from opinionlab.model import TrainConfig, train
 
 config = simulate.preset_config("consensus", num_users=50, num_steps=100,
@@ -30,8 +27,7 @@ rows = {}
 for name, (alpha, beta) in (("regularized", (1.0, 0.1)), ("plain network", (0.0, 0.0))):
     cfg = TrainConfig(variant="sbcm", epochs=500, seed=0, alpha=alpha, beta=beta)
     model, history = train(splits, profiles, cfg)
-    preds = model.predict_proba(test.users(), test.times()).argmax(axis=1)
-    metrics = compute_metrics(test.labels(), preds, dataset.num_classes)
+    metrics = evaluate_model(model, test)
     rows[name] = (metrics.accuracy, metrics.macro_f1)
     residual = f"final ODE residual {history[-1].ode_loss:.2e}" if alpha else "no ODE term"
     print(f"trained {name:14s}  {residual}")

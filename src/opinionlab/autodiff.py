@@ -73,16 +73,10 @@ class Tensor:
         else:
             self.grad = np.zeros_like(self.data) + grad
 
-    def backward(self, seed=None):
-        """Backpropagate from this node.
-
-        `seed` defaults to 1.0 and must match this tensor's shape; the usual
-        call site is a scalar loss.
-        """
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed requires a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        """Backpropagate from this node, which must hold a single value."""
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar output")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -100,7 +94,7 @@ class Tensor:
                     stack.append((parent, False))
         if len(topo) == 1 and self._backward is None:
             raise ValueError("backward() on a graph with no recorded operations")
-        self.grad = np.asarray(seed, dtype=np.float64).reshape(self.data.shape).copy()
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
@@ -173,7 +167,7 @@ class Tensor:
                     ga = np.multiply.outer(g, b) if g.ndim else g * b
                 else:
                     ga = g @ np.swapaxes(b, -1, -2)
-                self._accumulate(_unbroadcast(np.asarray(ga), a.shape))
+                self._accumulate(np.asarray(ga))
             if other.requires_grad:
                 if a.ndim == 1:
                     gb = np.multiply.outer(a, g) if g.ndim else a * g
@@ -181,7 +175,7 @@ class Tensor:
                     gb = (np.swapaxes(a, -1, -2) @ g[..., :, None])[..., 0]
                 else:
                     gb = np.swapaxes(a, -1, -2) @ g
-                other._accumulate(_unbroadcast(np.asarray(gb), b.shape))
+                other._accumulate(np.asarray(gb))
 
         out._backward = _backward
         return out

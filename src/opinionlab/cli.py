@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import harness, model as model_mod, simulate
@@ -34,9 +35,7 @@ TRAIN_KEYS = {"alpha", "beta", "collocation", "epochs", "batch_size",
               "learning_rate", "seed"}
 SIM_KEYS = {"preset", "num_users", "num_steps", "initiators_per_step", "mu",
             "rho", "update_rule", "init_range", "seed", "num_classes"}
-
-_AXIS_TYPES = {"num_layers": int, "width": int, "latent_dim": int,
-               "alpha": float, "beta": float, "variant": str}
+SECTION_KEYS = {"data": DATA_KEYS, "model": MODEL_KEYS, "train": TRAIN_KEYS, "sim": SIM_KEYS}
 
 
 class CliError(Exception):
@@ -48,13 +47,12 @@ def load_run_config(path) -> dict:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise CliError(f"{path}: run config must be a JSON object")
-    allowed = {"data": DATA_KEYS, "model": MODEL_KEYS, "train": TRAIN_KEYS, "sim": SIM_KEYS}
     for section, content in doc.items():
-        if section not in allowed:
+        if section not in SECTION_KEYS:
             raise CliError(f"{path}: unknown section {section!r}")
         if not isinstance(content, dict):
             raise CliError(f"{path}: section {section!r} must be an object")
-        unknown = set(content) - allowed[section]
+        unknown = set(content) - SECTION_KEYS[section]
         if unknown:
             raise CliError(f"{path}: unknown keys in {section!r}: {sorted(unknown)}")
     return doc
@@ -110,28 +108,15 @@ def _load_data(doc: dict):
     if not (isinstance(frac, list) and len(frac) == 3
             and all(type(f) in (int, float) and abs(f) <= sys.float_info.max for f in frac)):
         raise CliError(f"bad data configuration: split must be [train, val, test] fractions, got {frac!r}")
-    dataset = load_dataset(data["dataset"])
     profiles = load_profiles(data["profiles"]) if "profiles" in data else ProfileCorpus({})
-    splits = chronological_split(dataset, SplitSpec(*[float(f) for f in frac]))
-    return dataset, profiles, splits
+    splits = chronological_split(load_dataset(data["dataset"]), SplitSpec(*[float(f) for f in frac]))
+    return profiles, splits
 
 
 def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _metrics_doc(metrics) -> dict:
-    return {
-        "accuracy": metrics.accuracy,
-        "macro_f1": metrics.macro_f1,
-        "confusion": metrics.confusion.tolist(),
-        "per_class": [
-            {"precision": r.precision, "recall": r.recall, "f1": r.f1, "support": r.support}
-            for r in metrics.per_class
-        ],
-    }
 
 
 def _out_dir(args) -> Path:
@@ -172,7 +157,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     doc = load_run_config(args.config)
-    _, profiles, splits = _load_data(doc)
+    profiles, splits = _load_data(doc)
     config = _train_config(doc, args.seed)
     trained, history = train(splits, profiles, config)
     out = _out_dir(args)
@@ -183,7 +168,8 @@ def cmd_train(args) -> int:
     scores = {}
     for name, split in (("val", splits[1]), ("test", splits[2])):
         if len(split) > 0:
-            result[name] = _metrics_doc(evaluate_model(trained, split))
+            metrics = evaluate_model(trained, split)
+            result[name] = {**asdict(metrics), "confusion": metrics.confusion.tolist()}
             scores.update({f"{name}_acc": result[name]["accuracy"],
                            f"{name}_f1": result[name]["macro_f1"]})
     _write_json(out / "metrics.json", result)
@@ -193,11 +179,11 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     doc = load_run_config(args.config)
-    _, profiles, splits = _load_data(doc)
+    profiles, splits = _load_data(doc)
     trained = model_mod.load_model(args.checkpoint, profiles)
     split = {"train": 0, "val": 1, "test": 2}[args.split]
     metrics = evaluate_model(trained, splits[split])
-    result = {"split": args.split, **_metrics_doc(metrics)}
+    result = {"split": args.split, **asdict(metrics), "confusion": metrics.confusion.tolist()}
     if args.out:
         _write_json(_out_dir(args) / "metrics.json", result)
     print(json.dumps({"split": args.split, "acc": metrics.accuracy, "f1": metrics.macro_f1},
@@ -207,13 +193,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_baseline(args) -> int:
     doc = load_run_config(args.config)
-    _, _, splits = _load_data(doc)
-    train_ds, test_ds = splits[0], splits[2]
-    if len(test_ds) == 0:
-        raise CliError("the test split is empty")
+    _, splits = _load_data(doc)
+    test_ds = splits[2]
     methods = harness.BASELINES if args.method == "all" else [args.method]
-    seed = args.seed if args.seed is not None else 0
-    results = run_baselines(train_ds, test_ds, methods, seed=seed)
+    results = run_baselines(splits[0], test_ds, methods, seed=args.seed)
     out = _out_dir(args)
     summary = {}
     for method, res in results.items():
@@ -236,9 +219,9 @@ def parse_axes(text: str) -> dict:
             raise CliError(f"bad axis spec {part!r}; expected name=v1,v2,...")
         name, values = part.split("=", 1)
         name = name.strip()
-        if name not in _AXIS_TYPES:
-            raise CliError(f"unknown grid axis {name!r}; choose from {sorted(_AXIS_TYPES)}")
-        cast = _AXIS_TYPES[name]
+        if name not in harness.DEFAULT_AXES:
+            raise CliError(f"unknown grid axis {name!r}; choose from {sorted(harness.DEFAULT_AXES)}")
+        cast = type(harness.DEFAULT_AXES[name][0])
         axes[name] = [cast(v.strip()) for v in values.split(",") if v.strip()]
         if not axes[name]:
             raise CliError(f"axis {name!r} has no values")
@@ -249,18 +232,15 @@ def parse_axes(text: str) -> dict:
 
 def cmd_gridsearch(args) -> int:
     doc = load_run_config(args.config)
-    _, profiles, splits = _load_data(doc)
-    if len(splits[1]) == 0:
-        raise CliError("grid search ranks cells by validation F1, but the validation split is empty")
+    profiles, splits = _load_data(doc)
     base = _train_config(doc, args.seed)
     axes = parse_axes(args.axes) if args.axes else dict(harness.DEFAULT_AXES)
-    out = _out_dir(args)
     try:
         leaderboard, failed = harness.grid_search(splits, profiles, harness.GridSpec(axes), base,
-                                                  cache_dir=out / "runs")
+                                                  cache_dir=Path(args.out) / "runs")
     except harness.AllCellsFailed as err:
         raise CliError(str(err)) from err
-    harness.leaderboard_to_csv(leaderboard, out / "leaderboard.csv")
+    harness.leaderboard_to_csv(leaderboard, _out_dir(args) / "leaderboard.csv")
     best = leaderboard[0]
     print(json.dumps({"best_hash": best.hash, "best_val_f1": best.val_f1,
                       "best_val_acc": best.val_acc,
@@ -272,9 +252,7 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_ablate(args) -> int:
     doc = load_run_config(args.config)
-    _, profiles, splits = _load_data(doc)
-    if len(splits[2]) == 0:
-        raise CliError("the ablation scores the test split, which is empty")
+    profiles, splits = _load_data(doc)
     config = _train_config(doc)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not seeds:
@@ -284,19 +262,16 @@ def cmd_ablate(args) -> int:
     with open(out / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["seed", "sinn_acc", "sinn_f1", "nn_acc", "nn_f1"])
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: (v if isinstance(v, str) else repr(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
+        writer.writerows(rows)
     print(json.dumps(rows[-1], sort_keys=True))
     return 0
 
 
 def cmd_gradcheck(args) -> int:
     variants = [args.variant] if args.variant else list(model_mod.VARIANTS)
-    seed = args.seed if args.seed is not None else 0
     worst = 0.0
     for variant in variants:
-        errors = harness.gradient_check(variant, seed=seed)
+        errors = harness.gradient_check(variant, seed=args.seed)
         for group, err in errors.items():
             print(f"{variant}/{group}: max rel err {err:.3e}")
             worst = max(worst, err)
@@ -306,12 +281,9 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_report(args) -> int:
     doc = load_run_config(args.config)
-    _, profiles, splits = _load_data(doc)
-    train_ds, test_ds = splits[0], splits[2]
-    if len(test_ds) == 0:
-        raise CliError("the test split is empty")
-    seed = args.seed if args.seed is not None else 0
-    rows = run_baselines(train_ds, test_ds, harness.BASELINES, seed=seed)
+    profiles, splits = _load_data(doc)
+    test_ds = splits[2]
+    rows = run_baselines(splits[0], test_ds, harness.BASELINES, seed=args.seed)
     if args.checkpoint:
         trained = model_mod.load_model(args.checkpoint, profiles)
         m = evaluate_model(trained, test_ds)
@@ -359,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--method", choices=[*harness.BASELINES, "all"], default="all")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_baseline)
 
     p = sub.add_parser("gridsearch", help="train every cell of a hyperparameter grid")
@@ -377,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--variant", choices=list(model_mod.VARIANTS))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -385,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", help="include a trained model in the table")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_report)
     return parser
 

@@ -233,7 +233,10 @@ def run_baselines(train_ds: OpinionDataset, test_ds: OpinionDataset, methods, se
     Returns {method: {"acc", "f1", "predictions"}}: the metrics' mean over
     the method's runs (ten for the voter model, one otherwise) and the first
     run's predictions.  The train series is regularized once for all methods.
+    An empty test split raises ValueError before anything is fitted.
     """
+    if len(test_ds) == 0:
+        raise ValueError("the test split is empty")
     out = {}
     series = baselines.regularize_series(train_ds)
     for method in methods:

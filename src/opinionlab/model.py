@@ -338,25 +338,24 @@ def ode_loss(model: SinnModel, collocation_times, profile_matrix, noise_per_poin
 
 
 def l1_regularizer(model: SinnModel):
-    """l1 norm of the factorized influence matrices; zero for other variants."""
-    if model.config.variant != "degroot":
-        return Tensor(0.0)
+    """l1 norm of `degroot`'s factorized influence matrices."""
     return model.ode["m_factors"].abs().sum() + model.ode["q_factors"].abs().sum()
 
 
-def total_loss(model: SinnModel, users, times, labels, collocation_times,
-               noise_per_point=None, profile_matrix=None):
-    """data + alpha * ode + beta * regularizer; returns (Tensor, components)."""
+def total_loss(model: SinnModel, users, times, labels, collocation_times, noise_per_point=None):
+    """data + alpha * ode + beta * regularizer; returns (Tensor, components).
+
+    The regularizer is `degroot`'s alone; the other variants' "reg" is 0.
+    """
     cfg = model.config
-    if profile_matrix is None:
-        profile_matrix = model.encoding.encode_all(model.context)
+    profile_matrix = model.encoding.encode_all(model.context)
     loss = data_loss(model, users, times, labels, profile_matrix)
     parts = {"data": loss.item(), "ode": 0.0, "reg": 0.0}
     if cfg.alpha > 0:
         ode = ode_loss(model, collocation_times, profile_matrix, noise_per_point)
         parts["ode"] = ode.item()
         loss = loss + cfg.alpha * ode
-    if cfg.beta > 0:
+    if cfg.beta > 0 and cfg.variant == "degroot":
         reg = l1_regularizer(model)
         parts["reg"] = reg.item()
         loss = loss + cfg.beta * reg

@@ -1,7 +1,9 @@
 """End-to-end command-line interface behavior."""
 
+import itertools
 import json
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +17,8 @@ from opinionlab.cli import CliError, load_run_config, main, parse_axes
 from opinionlab.data import OpinionDataset, ProfileCorpus, save_dataset, save_profiles
 from opinionlab.harness import config_hash
 from opinionlab.model import VARIANTS, TrainConfig, TrainingDiverged
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -65,6 +69,20 @@ class TestRunConfig:
     def test_key_lists_match_train_config(self):
         assert not cli.MODEL_KEYS & cli.TRAIN_KEYS
         assert cli.MODEL_KEYS | cli.TRAIN_KEYS == {f.name for f in fields(TrainConfig)}
+
+    def test_readme_table_lists_the_accepted_keys(self, tmp_path):
+        """README's run-config table names, section by section, exactly the
+        keys that load_run_config accepts."""
+        lines = README.read_text(encoding="utf-8").splitlines()
+        start = lines.index("| section | key | type and range (default) |") + 2
+        documented = {}
+        for line in itertools.takewhile(lambda text: text.startswith("|"), lines[start:]):
+            _, section, keys, *_ = line.split("|")
+            documented.setdefault(section.strip().strip("`"), set()).update(re.findall(r"`(\w+)`", keys))
+        assert documented == cli.SECTION_KEYS
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({s: dict.fromkeys(keys) for s, keys in documented.items()}))
+        load_run_config(path)
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -346,6 +364,19 @@ class TestBaselineCommand:
             assert (out / f"predictions_{method}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["baseline", "report"])
+def test_empty_test_split_is_error(workspace, capsys, command):
+    """`run_baselines` refuses an empty test split before fitting, and the
+    command writes nothing."""
+    tmp_path, cfg_path = workspace
+    doc = json.loads(cfg_path.read_text())
+    doc["data"]["split"] = [0.75, 0.25, 0.0]
+    cfg_path.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: the test split is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestGradcheckCommand:
     def test_single_variant_passes(self, capsys):
         assert main(["gradcheck", "--variant", "fj", "--seed", "0"]) == 0
@@ -396,17 +427,19 @@ class TestGridsearchCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "every grid cell failed" in err and "RuntimeError: boom" in err
+        assert not (tmp_path / "grid").exists()
 
     def test_empty_validation_split_refused_before_training(self, workspace, capsys, monkeypatch):
         tmp_path, cfg_path = workspace
         doc = json.loads(cfg_path.read_text())
         doc["data"]["split"] = [0.7, 0.0, 0.3]
         cfg_path.write_text(json.dumps(doc))
-        monkeypatch.setattr(cli.harness, "grid_search", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(cli.harness, "_run_jobs", lambda *a, **k: pytest.fail("trained"))
         code = main(["gridsearch", "--config", str(cfg_path), "--axes", "variant=fj",
                      "--out", str(tmp_path / "grid")])
         assert code == 2
         assert "validation split is empty" in capsys.readouterr().err
+        assert not (tmp_path / "grid").exists()
 
     def test_jobs_option_removed(self, workspace):
         tmp_path, cfg_path = workspace
@@ -431,7 +464,7 @@ class TestAblateCommand:
         doc = json.loads(cfg_path.read_text())
         doc["data"]["split"] = [0.75, 0.25, 0.0]
         cfg_path.write_text(json.dumps(doc))
-        monkeypatch.setattr(cli.harness, "ablation_sinn_vs_nn", lambda *a, **k: pytest.fail("trained"))
+        monkeypatch.setattr(cli.harness, "_run_jobs", lambda *a, **k: pytest.fail("trained"))
         code = main(["ablate", "--config", str(cfg_path), "--seeds", "0", "--out", str(tmp_path / "abl")])
         assert code == 2
         assert "test split, which is empty" in capsys.readouterr().err

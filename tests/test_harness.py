@@ -241,6 +241,12 @@ class TestBaselinesAndReport:
             assert 0.0 <= results[method]["f1"] <= 1.0
             assert len(results[method]["predictions"]) == len(splits[2])
 
+    def test_empty_test_split_refused_before_fitting(self, monkeypatch):
+        splits = tiny_splits(fractions=(0.7, 0.3, 0.0))
+        monkeypatch.setattr(harness.baselines, "regularize_series", lambda ds: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match="^the test split is empty$"):
+            run_baselines(splits[0], splits[2], BASELINES)
+
     def test_unknown_method(self):
         splits = tiny_splits()
         with pytest.raises(ValueError):

@@ -307,6 +307,29 @@ def consensus_steps():
 LANDSCAPE_SCALES = (0.5, 0.8, 0.9, 0.95, 1.0, 1.05, 1.1, 1.25, 2.0)
 
 
+def euler_rollout(rhs, x0, num_steps: int, step: float):
+    """Explicit Euler rollout of the scalar oracle `rhs(x, u)` from `x0`:
+    the opinions before each step, (num_steps, U), and the one-step
+    differences divided by `step` as dx/dt."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(num_steps):
+        xs.append(xs[-1] + step * np.array([rhs(xs[-1], u) for u in range(len(x0))]))
+    return np.array(xs[:-1]), np.diff(xs, axis=0) / step
+
+
+def model_residual(variant: str, raw_leaves: dict, x, dx, innate=None) -> float:
+    """Summed squared residual dx - ode_rhs_all of a `variant` model whose
+    raw ODE leaves (and `fj` anchors) are set to the given values."""
+    num_users = x.shape[1]
+    m = build_model(tiny_dataset(num_users=num_users), tiny_profiles(num_users),
+                    TrainConfig(variant=variant, num_layers=1, width=3, embed_dim=4))
+    m.innate = innate
+    for name, value in raw_leaves.items():
+        m.ode[name].data = np.asarray(value, dtype=float)
+    r = dx - ode_rhs_all(m, Tensor(x)).data
+    return float((r * r).sum())
+
+
 class TestResidualLandscape:
     """The ODE residual on a generator's own trajectory, with one-step
     differences as dx/dt, must be smallest at the generating parameters.
@@ -340,6 +363,37 @@ class TestResidualLandscape:
         assert LANDSCAPE_SCALES[int(np.argmin(residuals))] == 1.0
         assert residuals[LANDSCAPE_SCALES.index(1.0)] < 1e-20
         assert ((dx - degroot_rhs_all(x, q, m)) ** 2).sum() > (dx * dx).sum()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fj_residual_smallest_at_generating_susceptibility(self, seed):
+        """FJ rollout (U=6, step 0.1, 40 steps, s_u in [0.05, 0.15],
+        anchored at the initial opinions): over scales c of s, with
+        raw_s = logit(c s), the residual is smallest at c = 1, where only
+        rounding is left."""
+        rng = np.random.default_rng(seed)
+        x0, s = rng.uniform(-1.0, 1.0, 6), rng.uniform(0.05, 0.15, 6)
+        x, dx = euler_rollout(lambda x, u: fj_rhs(x, x0, s, u), x0, 40, 0.1)
+        residuals = [model_residual("fj", {"raw_s": np.log(c * s) - np.log1p(-c * s)}, x, dx, innate=x0)
+                     for c in LANDSCAPE_SCALES]
+        assert LANDSCAPE_SCALES[int(np.argmin(residuals))] == 1.0
+        assert residuals[LANDSCAPE_SCALES.index(1.0)] < 1e-20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scaled", ["raw_delta", "raw_gamma"])
+    def test_bcm_residual_smallest_at_generating_bound_and_slope(self, seed, scaled):
+        """BCM rollout (U=8, step 0.05, 40 steps, delta in [0.3, 0.8], gamma
+        in [2, 8]): scaling one of delta and gamma by c, with each raw leaf
+        the inverse softplus of its value, the residual is smallest at
+        c = 1, where only rounding is left."""
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1.0, 1.0, 8)
+        truth = {"raw_delta": rng.uniform(0.3, 0.8), "raw_gamma": rng.uniform(2.0, 8.0)}
+        x, dx = euler_rollout(lambda x, u: bcm_rhs(x, truth["raw_delta"], truth["raw_gamma"], u), x0, 40, 0.05)
+        residuals = [model_residual("bcm", {name: np.log(np.expm1(c * value if name == scaled else value))
+                                            for name, value in truth.items()}, x, dx)
+                     for c in LANDSCAPE_SCALES]
+        assert LANDSCAPE_SCALES[int(np.argmin(residuals))] == 1.0
+        assert residuals[LANDSCAPE_SCALES.index(1.0)] < 1e-20
 
 
 class TestSigmoid:
